@@ -39,8 +39,8 @@ race:
 # off and on (BenchmarkCompileSuiteInline), plus the per-phase
 # micro-benchmarks of the compiler core (liveness, DDG build, list
 # scheduling), with allocation counts. The raw `go test -json` stream is
-# captured in BENCH_8.json for machine comparison against earlier runs
-# (BENCH_7.json holds the pre-interprocedural baseline). The parallel and
+# captured in BENCH_9.json for machine comparison against earlier runs
+# (`make bench-compare` diffs it against BENCH_8.json). The parallel and
 # stress benchmarks report speedup-vs-serial; on a single-core box that
 # metric caps at ~1x by physics.
 bench:
@@ -64,10 +64,11 @@ bench-compare:
 # check is the fast gate: lint + build + full tests, plus the race detector
 # over the concurrency-heavy subsystems (artifact store with its tgart2
 # codec tests, job queue, singleflight cache, daemon endpoints, telemetry
-# registry, and the eval.Arena/ddg.Scratch/sched.Scratch reuse paths that
-# pipeline workers share through sync.Pool) and one racing pass over the
-# hot-path micro-benchmarks (the scheduler's sync.Pool scratch is shared
-# across pipeline workers, so the bench bodies must be race-clean too).
+# registry, and the eval.Arena/ddg.Scratch/sched.Scratch reuse paths: every
+# compile owns an arena and each pipeline worker reuses one across its
+# chunk, so the arena-reuse and scheduler panic-reuse tests race here) and
+# one racing pass over the hot-path micro-benchmarks, whose bodies reuse
+# one scratch across every region.
 # The inliner and the call-executing interpreter race here because pipeline
 # workers run splices concurrently across functions of one program.
 # The eval -short slice includes TestVerifyStress2Slice, so one giant

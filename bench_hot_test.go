@@ -1,17 +1,15 @@
 package treegion
 
 // Micro-benchmarks for the three rebuilt hot phases of the compiler core —
-// bitset liveness, slab DDG construction, and heap-based list scheduling —
+// bitset liveness, slab DDG construction, and bitmap-queue list scheduling —
 // each driven cold over every function of the 8-benchmark suite. They
 // isolate one phase per iteration, so a regression in (say) the scheduler's
 // ready queue shows up here before it moves the whole-pipeline
 // BenchmarkCompileSuiteSerial number. `make bench` captures them in
-// BENCH_5.json; `make check` runs them once under the race detector.
+// BENCH_9.json; `make check` runs them once under the race detector.
 
 import (
-	"math"
 	"testing"
-	"time"
 
 	"treegion/internal/cfg"
 	"treegion/internal/core"
@@ -54,10 +52,12 @@ func BenchmarkColdCompileLiveness(b *testing.B) {
 
 // BenchmarkColdCompileDDG measures slab DDG construction — dominator
 // parallelism off, renaming on, the headline configuration — over every
-// region of the suite. Renaming mutates the function, so each iteration
-// rebuilds its inputs outside the timed region.
+// region of the suite, on one reused Scratch as a compile's arena provides.
+// Renaming mutates the function, so each iteration rebuilds its inputs
+// outside the timed region.
 func BenchmarkColdCompileDDG(b *testing.B) {
 	s := sharedSuite(b)
+	var sc ddg.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +75,7 @@ func BenchmarkColdCompileDDG(b *testing.B) {
 		b.StartTimer()
 		for _, h := range prep {
 			for _, r := range h.regions {
-				if _, err := ddg.Build(h.fn, r, ddg.Options{Rename: true, Liveness: h.lv}); err != nil {
+				if _, err := ddg.BuildScratch(h.fn, r, ddg.Options{Rename: true, Liveness: h.lv}, &sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,12 +111,8 @@ func schedGraphs(b *testing.B, progs []*Program) []*ddg.Graph {
 // machine with the dependence-height heuristic. Three tiers scale the rank
 // space — suite regions top out near 170 nodes, stress near 170 with far
 // more regions, and stress2's straight-line giants push past 4096 — so the
-// asymptotic gap between the bitmap queues and the retained heap reference
-// is visible, not just the constant factor. Each tier reports
-// speedup-vs-heap, computed symmetrically as best-of-three heap passes over
-// best-of-three bitmap passes: best-of filters GC pauses (the per-region
-// Schedule allocations churn enough to swamp a mean on a busy machine), and
-// measuring both sides the same way keeps the ratio honest.
+// bitmap queues' behaviour on large rank spaces is visible, not just the
+// constant factor.
 func BenchmarkColdCompileSched(b *testing.B) {
 	tiers := []struct {
 		name  string
@@ -131,41 +127,19 @@ func BenchmarkColdCompileSched(b *testing.B) {
 		b.Run(tier.name, func(b *testing.B) {
 			graphs := schedGraphs(b, tier.progs(b))
 			var sc sched.Scratch
-			schedule := func(fn func(g *ddg.Graph) *sched.Schedule) {
+			schedule := func() {
 				for _, g := range graphs {
-					if s := fn(g); s.Length == 0 && len(g.Nodes) > 0 {
+					if s := sched.ListScheduleScratch(g, machine.FourU, prio, nil, &sc); s.Length == 0 && len(g.Nodes) > 0 {
 						b.Fatal("empty schedule")
 					}
 				}
 			}
-			var hsc sched.Scratch
-			heapPass := func(g *ddg.Graph) *sched.Schedule {
-				return sched.ListScheduleHeapRefScratch(g, machine.FourU, prio, &hsc)
-			}
-			bitmapPass := func(g *ddg.Graph) *sched.Schedule {
-				return sched.ListScheduleScratch(g, machine.FourU, prio, nil, &sc)
-			}
-			bestOf := func(fn func(g *ddg.Graph) *sched.Schedule) float64 {
-				schedule(fn) // warm scratch
-				best := math.Inf(1)
-				for pass := 0; pass < 3; pass++ {
-					start := time.Now()
-					schedule(fn)
-					if ns := float64(time.Since(start).Nanoseconds()); ns < best {
-						best = ns
-					}
-				}
-				return best
-			}
-			heapNs := bestOf(heapPass)
-			bitmapNs := bestOf(bitmapPass)
+			schedule() // warm scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				schedule(bitmapPass)
+				schedule()
 			}
-			b.StopTimer()
-			b.ReportMetric(heapNs/bitmapNs, "speedup-vs-heap")
 		})
 	}
 }

@@ -3,8 +3,7 @@
 // tiered content-addressed result cache (memory over an optional
 // disk-backed artifact store), and an asynchronous job queue.
 //
-// Endpoints (API v1; the unversioned paths redirect permanently and carry a
-// Deprecation header):
+// Endpoints (API v1; unversioned paths answer 404 not_found):
 //
 //	POST   /v1/compile    {"ir": "func f\nbb0:\n  ...", "region": "tree", ...}
 //	                      → schedule metadata + timing JSON (see compileRequest)

@@ -132,6 +132,7 @@ func TestCompileEndpointErrors(t *testing.T) {
 		{"empty body", ``, http.StatusBadRequest, "bad_json"},
 		{"missing ir", `{}`, http.StatusBadRequest, "missing_field"},
 		{"bad ir", `{"ir": "not a function"}`, http.StatusBadRequest, "bad_ir"},
+		{"empty mem operand", `{"ir": "func 0\nbb0:\nb0=ld []"}`, http.StatusBadRequest, "bad_ir"},
 		{"bad region", `{"ir": "func f\nbb0:\n  ret\n", "region": "nope"}`, http.StatusBadRequest, "bad_config"},
 		{"bad machine", `{"ir": "func f\nbb0:\n  ret\n", "machine": "2U"}`, http.StatusBadRequest, "bad_config"},
 	}
@@ -189,62 +190,29 @@ func TestCompileUnknownField(t *testing.T) {
 	}
 }
 
-// TestLegacyRedirects verifies the unversioned paths answer with permanent
-// redirects to /v1 (308 for POST so the body is re-sent, 301 for GETs),
-// carry a Deprecation header, and still work end to end through a client
-// that follows redirects.
-func TestLegacyRedirects(t *testing.T) {
+// TestLegacyPathsNotFound verifies the retired unversioned paths fall
+// through to the structured 404 instead of redirecting to /v1.
+func TestLegacyPathsNotFound(t *testing.T) {
 	_, ts := testServer(t)
 	noFollow := &http.Client{
 		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 	}
-
-	resp, err := noFollow.Post(ts.URL+"/compile", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPermanentRedirect {
-		t.Errorf("POST /compile status = %d, want 308", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/v1/compile" {
-		t.Errorf("POST /compile Location = %q, want /v1/compile", loc)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("POST /compile missing Deprecation header")
-	}
-
-	for _, path := range []string{"/metrics", "/healthz"} {
-		resp, err := noFollow.Get(ts.URL + path)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/compile"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodGet, "/healthz"},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{}`))
+		resp, err := noFollow.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Errorf("GET %s status = %d, want 301", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s status = %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
-		if loc := resp.Header.Get("Location"); loc != "/v1"+path {
-			t.Errorf("GET %s Location = %q, want /v1%s", path, loc, path)
+		if er := decodeError(t, resp); er.Error.Code != "not_found" {
+			t.Errorf("%s %s error code = %q, want not_found", tc.method, tc.path, er.Error.Code)
 		}
-	}
-
-	// The default client follows the 308 re-sending the POST body, so old
-	// clients keep working unmodified.
-	req, _ := json.Marshal(map[string]any{"ir": fig1(t)})
-	resp2, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(string(req)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("redirected POST /compile status = %d, want 200", resp2.StatusCode)
-	}
-	var cr compileResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&cr); err != nil {
-		t.Fatal(err)
-	}
-	if cr.Function != "fig1" {
-		t.Errorf("redirected compile function = %q, want fig1", cr.Function)
 	}
 }
 

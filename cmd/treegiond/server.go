@@ -104,9 +104,7 @@ func (s *server) shutdown(ctx context.Context) error {
 	return err
 }
 
-// API version prefix. Old unversioned paths redirect permanently (308 for
-// POST /compile so clients re-send the body, 301 for the GET endpoints) and
-// carry a Deprecation header; they will be dropped one release after /v1.
+// API version prefix. Unversioned paths answer 404 not_found.
 const apiPrefix = "/v1"
 
 func (s *server) routes() http.Handler {
@@ -118,9 +116,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc(apiPrefix+"/metrics", s.handleMetrics)
 	mux.HandleFunc(apiPrefix+"/store/stats", s.handleStoreStats)
 	mux.HandleFunc(apiPrefix+"/healthz", s.handleHealthz)
-	mux.HandleFunc("/compile", s.legacyRedirect(apiPrefix+"/compile", http.StatusPermanentRedirect))
-	mux.HandleFunc("/metrics", s.legacyRedirect(apiPrefix+"/metrics", http.StatusMovedPermanently))
-	mux.HandleFunc("/healthz", s.legacyRedirect(apiPrefix+"/healthz", http.StatusMovedPermanently))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "not_found",
 			fmt.Errorf("no such endpoint %q (want %s/compile, %s/jobs, %s/metrics or %s/healthz)",
@@ -139,16 +134,6 @@ func debugRoutes() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func (s *server) legacyRedirect(target string, code int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("treegiond_http_legacy_redirects_total",
-			"Requests to deprecated unversioned paths.").Inc()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", target))
-		http.Redirect(w, r, target, code)
-	}
 }
 
 // compileRequest is the POST /v1/compile body. The function arrives as

@@ -23,9 +23,7 @@ func (b *builder) dataEdges() {
 	w := &walker{b: b, regs: &regs, nodes: b.g.Nodes}
 	b.prepWalker(w, regs.Len())
 	w.walk(b.g.Region.Root)
-	if b.sc != nil {
-		b.sc.releaseWalker(w)
-	}
+	b.sc.releaseWalker(w)
 }
 
 // prepWalker sizes every walker stack from the region's ops instead of
@@ -36,28 +34,18 @@ func (b *builder) dataEdges() {
 // bounds hold for every root-to-leaf walk. The per-register stacks are then
 // carved from one index slab with those caps, which turns the walk's
 // hottest allocation sites (one growth chain per touched register, per
-// region) into zero allocations under a Scratch and a handful without one.
+// region) into zero allocations once the Scratch is warm.
 // The stacks hold node indices, not pointers: the slab stays invisible to
 // the garbage collector, which matters at suite scale (a pointer slab this
 // size showed up as scan time exceeding the allocation savings).
 func (b *builder) prepWalker(w *walker, nr int) {
 	sc := b.sc
-	var defCnt, readerCnt []int32
-	if sc != nil {
-		w.defs = grow(sc.defs, nr)
-		w.readers = grow(sc.readers, nr)
-		w.defBase = growClear(sc.defBase, nr)
-		w.readerBase = growClear(sc.readerBase, nr)
-		defCnt = growClear(sc.defCnt, nr)
-		readerCnt = growClear(sc.readerCnt, nr)
-	} else {
-		w.defs = make([][]int32, nr)
-		w.readers = make([][]int32, nr)
-		w.defBase = make([]int32, nr)
-		w.readerBase = make([]int32, nr)
-		defCnt = make([]int32, nr)
-		readerCnt = make([]int32, nr)
-	}
+	w.defs = grow(sc.defs, nr)
+	w.readers = grow(sc.readers, nr)
+	w.defBase = growClear(sc.defBase, nr)
+	w.readerBase = growClear(sc.readerBase, nr)
+	defCnt := growClear(sc.defCnt, nr)
+	readerCnt := growClear(sc.readerCnt, nr)
 	undoCap, loadCap := 0, 0
 	for _, nd := range b.g.Nodes {
 		op := nd.Op
@@ -97,12 +85,7 @@ func (b *builder) prepWalker(w *walker, nr int) {
 	for r := 0; r < nr; r++ {
 		total += int(defCnt[r]) + int(readerCnt[r])
 	}
-	var slab []int32
-	if sc != nil {
-		slab = grow(sc.walkSlab, total)
-	} else {
-		slab = make([]int32, total)
-	}
+	slab := grow(sc.walkSlab, total)
 	off := 0
 	for r := 0; r < nr; r++ {
 		d, rd := int(defCnt[r]), int(readerCnt[r])
@@ -111,15 +94,10 @@ func (b *builder) prepWalker(w *walker, nr int) {
 		w.readers[r] = slab[off : off : off+rd]
 		off += rd
 	}
-	if sc != nil {
-		sc.walkSlab = slab
-		sc.defCnt, sc.readerCnt = defCnt, readerCnt
-		w.undo = grow(sc.undo, undoCap)[:0]
-		w.loads = grow(sc.loads, loadCap)[:0]
-	} else {
-		w.undo = make([]undoRec, 0, undoCap)
-		w.loads = make([]int32, 0, loadCap)
-	}
+	sc.walkSlab = slab
+	sc.defCnt, sc.readerCnt = defCnt, readerCnt
+	w.undo = grow(sc.undo, undoCap)[:0]
+	w.loads = grow(sc.loads, loadCap)[:0]
 }
 
 // walker undo-record kinds.

@@ -19,11 +19,7 @@ type opAt struct {
 func (b *builder) mergeDominatorParallel() {
 	r := b.g.Region
 	fn := b.g.Fn
-	if b.sc != nil {
-		b.moved = b.sc.movedMap()
-	} else {
-		b.moved = make(map[ir.BlockID][]*ir.Op)
-	}
+	b.moved = b.sc.movedMap()
 
 	// Group candidate ops by original identity.
 	groups := make(map[int][]opAt)

@@ -190,19 +190,13 @@ type edgeRec struct {
 // installEdges materializes recs into per-node Succs/Preds slices carved
 // from two backing slabs. A counting pass sizes each node's lists, then a
 // stable fill preserves record order within every list — the same order the
-// old per-edge appends produced. sc, when non-nil, supplies the counting
-// buffers; the edge slabs are always fresh (they escape into the nodes).
+// old per-edge appends produced. sc supplies the counting buffers; the edge
+// slabs are always fresh (they escape into the nodes).
 func installEdges(nodes []*Node, recs []edgeRec, sc *Scratch) {
 	n := len(nodes)
-	var outCnt, inCnt []int32
-	if sc != nil {
-		sc.outCnt = growClear(sc.outCnt, n)
-		sc.inCnt = growClear(sc.inCnt, n)
-		outCnt, inCnt = sc.outCnt, sc.inCnt
-	} else {
-		outCnt = make([]int32, n)
-		inCnt = make([]int32, n)
-	}
+	sc.outCnt = growClear(sc.outCnt, n)
+	sc.inCnt = growClear(sc.inCnt, n)
+	outCnt, inCnt := sc.outCnt, sc.inCnt
 	for _, e := range recs {
 		outCnt[e.from]++
 		inCnt[e.to]++
@@ -244,39 +238,30 @@ func DefaultOptions(lv *cfg.Liveness, prof *profile.Data) Options {
 	return Options{Rename: true, Liveness: lv, Profile: prof}
 }
 
-// Build constructs the DDG for r. It may mutate the function: renaming
-// rewrites destination/source registers inside the region and inserts Copy
-// ops. Each region must therefore be built at most once per compiled
-// function instance.
+// Build constructs the DDG for r on a fresh Scratch; see BuildScratch.
 func Build(fn *ir.Function, r *region.Region, opts Options) (*Graph, error) {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return BuildScratch(fn, r, opts, sc)
+	return BuildScratch(fn, r, opts, new(Scratch))
 }
 
-// scratchPool recycles builder scratch across Build calls, so callers
-// without a worker-owned Scratch still reuse the dense tables instead of
-// reallocating them per region (mirrors sched.ListSchedule's pool).
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-// BuildScratch is Build drawing every non-escaping table and buffer from a
-// caller-owned Scratch (nil allocates fresh, exactly as Build). Workers that
-// build many DDGs back to back reuse one Scratch across all of them.
+// BuildScratch constructs the DDG for r, drawing every non-escaping table
+// and buffer from sc. It may mutate the function: renaming rewrites
+// destination/source registers inside the region and inserts Copy ops. Each
+// region must therefore be built at most once per compiled function
+// instance. Workers that build many DDGs back to back reuse one Scratch
+// across all of them.
 func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) (*Graph, error) {
 	g := &Graph{Fn: fn, Region: r}
 	bound := fn.OpIDBound()
-	//vet:ignore arenaescape the builder borrows sc for exactly one Build; release() below hands every buffer back before return
-	b := &builder{g: g, opts: opts, sc: sc}
-	//vet:ignore arenaescape borrowed buffers flow back to sc via release() on every exit path of this function
-	if sc != nil {
-		b.home = grow(sc.home, bound)
-		b.gone = growClear(sc.gone, bound)
-		b.recs = sc.recs[:0]
-		b.succBuf = sc.succBuf
-		b.subtreeBuf = sc.subtreeBuf
-	} else {
-		b.home = make([]ir.BlockID, bound)
-		b.gone = make([]bool, bound)
+	//vet:ignore arenaescape the builder borrows sc for exactly one build; release() below hands every buffer back before return
+	b := &builder{
+		g:          g,
+		opts:       opts,
+		sc:         sc,
+		home:       grow(sc.home, bound),
+		gone:       growClear(sc.gone, bound),
+		recs:       sc.recs[:0],
+		succBuf:    sc.succBuf,
+		subtreeBuf: sc.subtreeBuf,
 	}
 	for i := range b.home {
 		b.home[i] = ir.NoBlock
@@ -313,9 +298,7 @@ func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) 
 	b.controlEdges()
 	installEdges(g.Nodes, b.recs, sc)
 	b.attributes()
-	if sc != nil {
-		sc.release(b)
-	}
+	sc.release(b)
 	return g, nil
 }
 
@@ -329,8 +312,8 @@ type blkRange struct {
 type builder struct {
 	g    *Graph
 	opts Options
-	// sc, when non-nil, supplies every non-escaping table below; Build
-	// stores the (possibly regrown) buffers back on exit.
+	// sc supplies every non-escaping table below; BuildScratch stores the
+	// (possibly regrown) buffers back on exit.
 	sc *Scratch
 	// Dense per-op tables indexed by op.ID, sized to the bound at builder
 	// creation. Ops minted later (renaming copies) are never gone, moved or
@@ -372,11 +355,7 @@ func (b *builder) isPinned(op *ir.Op) bool {
 
 func (b *builder) setPinned(op *ir.Op) {
 	if b.pinned == nil {
-		if b.sc != nil {
-			b.pinned = growClear(b.sc.pinned, len(b.gone))
-		} else {
-			b.pinned = make([]bool, len(b.gone))
-		}
+		b.pinned = growClear(b.sc.pinned, len(b.gone))
 	}
 	if op.ID < len(b.pinned) {
 		b.pinned[op.ID] = true
@@ -436,16 +415,11 @@ func (b *builder) buildEffective() {
 	for _, bid := range r.Blocks {
 		total += len(b.g.Fn.Block(bid).Ops) + len(b.moved[bid])
 	}
-	if b.sc != nil {
-		b.effOf = growClear(b.sc.effOf, len(b.g.Fn.Blocks))
-		if cap(b.sc.effSlab) < total {
-			b.sc.effSlab = make([]*ir.Op, 0, total)
-		}
-		b.effSlab = b.sc.effSlab[:0]
-	} else {
-		b.effOf = make([]blkRange, len(b.g.Fn.Blocks))
-		b.effSlab = make([]*ir.Op, 0, total)
+	b.effOf = growClear(b.sc.effOf, len(b.g.Fn.Blocks))
+	if cap(b.sc.effSlab) < total {
+		b.sc.effSlab = make([]*ir.Op, 0, total)
 	}
+	b.effSlab = b.sc.effSlab[:0]
 	for _, bid := range r.Blocks {
 		start := len(b.effSlab)
 		var body int
@@ -488,14 +462,10 @@ func (b *builder) blockNodes(bid ir.BlockID) []*Node {
 func (b *builder) makeNodes() {
 	g := b.g
 	// The Node slab and the Nodes index escape into the Graph; they are
-	// always fresh even under a Scratch.
+	// always fresh, never drawn from the Scratch.
 	slab := make([]Node, len(b.effSlab))
 	g.Nodes = make([]*Node, 0, len(slab))
-	if b.sc != nil {
-		b.nodeOf = growClear(b.sc.nodeOf, len(g.Fn.Blocks))
-	} else {
-		b.nodeOf = make([]blkRange, len(g.Fn.Blocks))
-	}
+	b.nodeOf = growClear(b.sc.nodeOf, len(g.Fn.Blocks))
 	for _, bid := range g.Region.Blocks {
 		er := b.effOf[bid]
 		nr := blkRange{

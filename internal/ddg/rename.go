@@ -89,11 +89,7 @@ func (b *builder) pinConflicting() {
 func (b *builder) buildDefBits() {
 	b.regs = b.g.Fn.RegIndexTable()
 	b.defNW = (b.regs.Len() + 63) / 64
-	if b.sc != nil {
-		b.defBits = growClear(b.sc.defBits, len(b.g.Fn.Blocks)*b.defNW)
-	} else {
-		b.defBits = make([]uint64, len(b.g.Fn.Blocks)*b.defNW)
-	}
+	b.defBits = growClear(b.sc.defBits, len(b.g.Fn.Blocks)*b.defNW)
 	for _, blk := range b.g.Fn.Blocks {
 		w := b.defBits[int(blk.ID)*b.defNW : (int(blk.ID)+1)*b.defNW]
 		for _, op := range blk.Ops {

@@ -5,15 +5,13 @@ import (
 	"treegion/internal/sched"
 )
 
-// Arena is the per-worker compile scratch: the DDG builder's dense tables
-// and the list scheduler's working set, reused across every function a
-// pipeline worker compiles instead of round-tripping each buffer through a
-// global sync.Pool per region. The buffers grow to the largest function the
-// worker has seen and stay there, so a worker chewing through a chunk of
-// functions allocates the scratch once.
+// Arena is the compile scratch: the DDG builder's dense tables and the list
+// scheduler's working set. Every compile owns one; a pipeline worker reuses
+// its arena across every function it compiles. The buffers grow to the
+// largest function the arena has seen and stay there, so a worker chewing
+// through a chunk of functions allocates the scratch once.
 //
-// An Arena must not be shared between concurrent compiles. A nil *Arena is
-// valid everywhere one is accepted and selects the pooled/allocating paths.
+// An Arena must not be shared between concurrent compiles.
 type Arena struct {
 	ddg   ddg.Scratch
 	sched sched.Scratch
@@ -21,17 +19,3 @@ type Arena struct {
 
 // NewArena returns an empty arena; buffers are grown on first use.
 func NewArena() *Arena { return &Arena{} }
-
-func (a *Arena) ddgScratch() *ddg.Scratch {
-	if a == nil {
-		return nil
-	}
-	return &a.ddg
-}
-
-func (a *Arena) schedScratch() *sched.Scratch {
-	if a == nil {
-		return nil
-	}
-	return &a.sched
-}

@@ -726,7 +726,7 @@ func (p *parser) op(line string) error {
 // memOperand parses [reg+off] (off may be negative: [r1+-8] or [r1-8]).
 func memOperand(tok string) (ir.Reg, int64, error) {
 	tok = strings.TrimSpace(tok)
-	if !strings.HasPrefix(tok, "[") || !strings.HasSuffix(tok, "]") {
+	if len(tok) < 3 || !strings.HasPrefix(tok, "[") || !strings.HasSuffix(tok, "]") {
 		return ir.NoReg, 0, fmt.Errorf("bad memory operand %q", tok)
 	}
 	inner := tok[1 : len(tok)-1]

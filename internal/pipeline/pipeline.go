@@ -103,10 +103,10 @@ var compileFunc = eval.CompileFunctionArena
 // worker claims chunks of K indices from the shared queue (stealing half of
 // the largest remaining range when its own runs dry) and compiles the whole
 // chunk on one private arena, so the DDG/scheduler scratch is reused across
-// every function the worker touches instead of round-tripping through the
-// global sync.Pool per region. Results and errors land at their function's
-// index; cached[i], when the slice is non-nil, records cache hits. onDone,
-// when non-nil, is called (possibly concurrently) after each index settles.
+// every function the worker touches. Results and errors land at their
+// function's index; cached[i], when the slice is non-nil, records cache
+// hits. onDone, when non-nil, is called (possibly concurrently) after each
+// index settles.
 func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data, c eval.Config, opts Options,
 	frs []*eval.FunctionResult, errs []error, cached []bool, onDone func(int)) {
 	n := len(fns)
@@ -126,7 +126,7 @@ func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 		// pays the goroutine hop and per-chunk mutex for nothing, which
 		// showed up as a single-worker pipeline running measurably slower
 		// than a plain serial loop.
-		arena := eval.NewArena()
+		arena := workerArena()
 		for i := range fns {
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
@@ -151,7 +151,7 @@ func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			arena := eval.NewArena()
+			arena := workerArena()
 			for {
 				mu.Lock()
 				chunk, ok := q.take(w, k)
@@ -299,7 +299,14 @@ func CompileFunction(ctx context.Context, fn *ir.Function, prof *profile.Data, c
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	return compileOne(fn, prof, c, opts, nil)
+	return compileOne(fn, prof, c, opts, eval.NewArena)
+}
+
+// workerArena returns an arena source that hands out one arena for every
+// compile, so a worker reuses its scratch across its whole chunk.
+func workerArena() func() *eval.Arena {
+	ar := eval.NewArena()
+	return func() *eval.Arena { return ar }
 }
 
 // keyBufPool recycles the buffer contentKey serializes into: the key-form
@@ -345,7 +352,8 @@ func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config) compcache.
 // compileOne compiles one function on clones of (orig, prof), going through
 // the tiered cache (memory, then disk, then compile) when one is
 // configured. Concurrent identical requests coalesce onto one compile.
-// arena, when non-nil, is the calling worker's private compile scratch.
+// arena supplies the compile scratch and is called only on a cache miss, so
+// a hit allocates no arena.
 //
 // Verification rides on top: the artifact is compiled and cached once under
 // the unified key, and the verifier's verdict is cached alongside it under
@@ -353,13 +361,13 @@ func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config) compcache.
 // failing verdict is cached too — the artifact stays valid for plain
 // callers while verified callers keep getting the recorded Failure without
 // re-running the verifier.
-func compileOne(orig *ir.Function, prof *profile.Data, c eval.Config, opts Options, arena *eval.Arena) (*eval.FunctionResult, bool, error) {
+func compileOne(orig *ir.Function, prof *profile.Data, c eval.Config, opts Options, arena func() *eval.Arena) (*eval.FunctionResult, bool, error) {
 	var key compcache.Key
 	if opts.Cache != nil {
 		key = contentKey(orig, prof, c)
 	}
 	fr, src, err := opts.Cache.GetOrCompute(key, func() (*eval.FunctionResult, error) {
-		fr, err := compileIsolated(orig.Clone(), prof.Clone(), c, opts.Metrics, arena)
+		fr, err := compileIsolated(orig.Clone(), prof.Clone(), c, opts.Metrics, arena())
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treegion/internal/ddg"
@@ -286,5 +287,37 @@ func TestScheduleZeroSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("schedule call allocates %.0f objects steady-state, want ≤ 2 (result only)", allocs)
+	}
+}
+
+// TestScratchReuseAfterPanic pins the contract the pipeline's recovered
+// panics rely on: a schedule call that panics after the queues were carved
+// leaves bits in the slabs, and the next call on the same Scratch must
+// still produce exactly the schedule a fresh Scratch gives.
+func TestScratchReuseAfterPanic(t *testing.T) {
+	// Malformed: the first pop follows an edge to a node outside the graph,
+	// which panics while ranks 1..3 are still queued in cur.
+	bad := &ddg.Graph{Nodes: []*ddg.Node{synthNode(0), synthNode(1), synthNode(2), synthNode(3)}}
+	synthEdge(bad.Nodes[0], synthNode(99), 1)
+
+	// Well formed: rank 1 waits three cycles on rank 0, so a stale rank-1
+	// bit left behind by the panic would issue it early.
+	good := &ddg.Graph{Nodes: []*ddg.Node{synthNode(0), synthNode(1), synthNode(2), synthNode(3)}}
+	synthEdge(good.Nodes[0], good.Nodes[1], 3)
+
+	var sc Scratch
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("malformed graph did not panic")
+			}
+		}()
+		ListScheduleScratch(bad, machine.Scalar, synthPrio(4), nil, &sc)
+	}()
+	got := ListScheduleScratch(good, machine.Scalar, synthPrio(4), nil, &sc)
+	want := ListSchedule(good, machine.Scalar, synthPrio(4))
+	if got.Length != want.Length || !slices.Equal(got.Cycle, want.Cycle) {
+		t.Fatalf("reused scratch scheduled %v (length %d), fresh scratch %v (length %d)",
+			got.Cycle, got.Length, want.Cycle, want.Length)
 	}
 }

@@ -9,7 +9,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"treegion/internal/ddg"
@@ -40,10 +39,8 @@ type Schedule struct {
 }
 
 // Scratch holds the scheduler's per-call working set. A caller that owns a
-// Scratch (the batched pipeline gives each worker one) reuses the buffers
-// across every region it schedules via ListScheduleScratch; callers without
-// one go through a shared sync.Pool instead, so the buffers are still
-// recycled, just with cross-worker round trips.
+// Scratch (every compile owns one through its eval.Arena) reuses the
+// buffers across every region it schedules via ListScheduleScratch.
 //
 // The ready queues are hierarchical CLZ bitmaps over the rank space (see
 // bitq.go): qcur/qnext share one word slab, the calendar's buckets another.
@@ -67,13 +64,7 @@ type Scratch struct {
 	qdirty  bool
 
 	occ telemetry.ReadyOccupancySample
-
-	cur    []int32  // heap reference only: min-heap of ready ranks
-	next   []int32  // heap reference only: ranks readied behind the sweep
-	future []uint64 // heap reference only: min-heap of earliest<<32|rank
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func (sc *Scratch) reset(n int) {
 	if cap(sc.order) < n {
@@ -91,9 +82,6 @@ func (sc *Scratch) reset(n int) {
 	for i := 0; i < n; i++ {
 		sc.earliest[i] = 0
 	}
-	sc.cur = sc.cur[:0]
-	sc.next = sc.next[:0]
-	sc.future = sc.future[:0]
 }
 
 // resetQueues carves the cur/next bitmaps and the calendar for a rank space
@@ -146,7 +134,7 @@ func (sc *Scratch) resetQueues(n, maxLat int) {
 // as soon as their predicate is ready, and the heuristic orders the real
 // ops. (The paper's example schedules likewise issue every branch at its
 // earliest possible cycle.) Shared by the bitmap scheduler and the
-// retained heap reference so both schedule the identical rank space.
+// heap reference in the tests so both schedule the identical rank space.
 func prioritize(g *ddg.Graph, prio PriorityFn, sc *Scratch) {
 	order := sc.order
 	copy(order, g.Nodes)
@@ -181,14 +169,17 @@ func prioritize(g *ddg.Graph, prio PriorityFn, sc *Scratch) {
 	}
 }
 
-// ListSchedule builds the schedule. It never fails: the DDG is acyclic by
-// construction (node order is topological).
+// ListSchedule builds the schedule on a fresh Scratch, untraced; see
+// ListScheduleScratch.
 func ListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
-	return ListScheduleTraced(g, m, prio, nil)
+	return ListScheduleScratch(g, m, prio, nil, new(Scratch))
 }
 
-// ListScheduleTraced is ListSchedule recording the priority sort and the
-// scheduling loop as separate phases on tr (nil disables tracing).
+// ListScheduleScratch builds the schedule into sc, recording the priority
+// sort and the scheduling loop as separate phases on tr (nil disables
+// tracing). It never fails: the DDG is acyclic by construction (node order
+// is topological). A worker that schedules many regions back to back passes
+// the same Scratch every time.
 //
 // The ready queue is a trio of hierarchical CLZ bitmaps over the static
 // rank order (bitq.go), engineered to reproduce the classic sweep
@@ -207,22 +198,9 @@ func ListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
 //
 // Every pop therefore yields precisely the node the legacy scheduler would
 // have picked next, at the same cycle — schedules are byte-identical (the
-// retained heap reference, ListScheduleHeapRef, is the differential
-// witness) — but each readiness event costs O(1) instead of O(log n).
-func ListScheduleTraced(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *telemetry.CompileTrace) *Schedule {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return ListScheduleScratch(g, m, prio, tr, sc)
-}
-
-// ListScheduleScratch is ListScheduleTraced scheduling into a caller-owned
-// Scratch. A worker that schedules many regions back to back (the batched
-// pipeline) passes the same Scratch every time and never touches the shared
-// pool. nil falls back to the pooled path.
+// heap reference in heapref_test.go is the differential witness) — but
+// each readiness event costs O(1) instead of O(log n).
 func ListScheduleScratch(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *telemetry.CompileTrace, sc *Scratch) *Schedule {
-	if sc == nil {
-		return ListScheduleTraced(g, m, prio, tr)
-	}
 	n := len(g.Nodes)
 	s := &Schedule{Graph: g, Model: m, Cycle: make([]int, n)}
 	if n == 0 {
