@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-compare check loadtest ci
+.PHONY: all build vet lint test race fuzz bench bench-compare check loadtest ci
 
 all: build
 
@@ -33,6 +33,13 @@ test:
 # daemon); every PR must pass the race detector, not just the plain tests.
 race:
 	$(GO) test -race ./...
+
+# fuzz runs the parser fuzzer (irtext.FuzzParse) for a fixed short budget:
+# whatever parses must print back to a fixed point and survive the IR
+# verifier and a step-bounded interpretation. Crashers land in
+# internal/irtext/testdata/fuzz/FuzzParse, which plain `go test` replays.
+fuzz:
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 30s ./internal/irtext/
 
 # Suite compiles (serial/parallel/cached/verified/warm-store/verified-warm),
 # the stress preset at 8 workers, the interprocedural presets with inlining
@@ -74,10 +81,12 @@ bench-compare:
 # The eval -short slice includes TestVerifyStress2Slice, so one giant
 # stress2 function races through compile-and-verify on every check; the
 # sched line races the bitmap-queue unit and adversarial tests.
-# The store and eval run with -short so their heavier matrices race a
-# reduced preset slice; the full matrices run in `test`.
+# The verifier races its IR009 and SC differential tests (the word-packed
+# must-define pass against its map-based witness) on a suite slice.
+# The store, eval and verify run with -short so their heavier matrices race
+# a reduced preset slice; the full matrices run in `test`.
 check: lint build test
-	$(GO) test -race -short ./internal/store/ ./internal/eval/
+	$(GO) test -race -short ./internal/store/ ./internal/eval/ ./internal/verify/
 	$(GO) test -race ./internal/jobs/ ./internal/compcache/ ./internal/pipeline/ ./internal/router/ ./cmd/treegiond/
 	$(GO) test -race ./internal/telemetry/ ./internal/ddg/ ./internal/sched/
 	$(GO) test -race ./internal/inline/ ./internal/interp/

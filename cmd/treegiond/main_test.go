@@ -133,6 +133,8 @@ func TestCompileEndpointErrors(t *testing.T) {
 		{"missing ir", `{}`, http.StatusBadRequest, "missing_field"},
 		{"bad ir", `{"ir": "not a function"}`, http.StatusBadRequest, "bad_ir"},
 		{"empty mem operand", `{"ir": "func 0\nbb0:\nb0=ld []"}`, http.StatusBadRequest, "bad_ir"},
+		{"huge register", `{"ir": "func 0\nbb0:\nr900000000=movi 1\np90000000=cmpp lt r900000000, r900000000\nret\n"}`, http.StatusBadRequest, "bad_ir"},
+		{"empty block cycle", `{"ir": "func f\nbb0:\nfallthrough @bb0\n"}`, http.StatusUnprocessableEntity, "profile_failed"},
 		{"bad region", `{"ir": "func f\nbb0:\n  ret\n", "region": "nope"}`, http.StatusBadRequest, "bad_config"},
 		{"bad machine", `{"ir": "func f\nbb0:\n  ret\n", "machine": "2U"}`, http.StatusBadRequest, "bad_config"},
 	}

@@ -7,11 +7,12 @@ import (
 )
 
 // BitSet is a word-packed register set over a function's dense register
-// universe (ir.RegIndex). All BitSets of one Liveness share a single uint64
-// slab, so computing liveness for a function costs a handful of allocations
+// universe (ir.RegIndex), and the package's one register-set
+// representation. All BitSets of one Liveness share a single uint64 slab,
+// so computing liveness for a function costs a handful of allocations
 // regardless of block count. Registers minted after the snapshot (scheduler
-// renaming) fall outside the index and report not-present, matching the
-// map-based semantics the renamer relies on.
+// renaming) fall outside the index and report not-present, which the
+// renamer relies on: a fresh register is never live anywhere yet.
 type BitSet struct {
 	idx   *ir.RegIndex
 	words []uint64

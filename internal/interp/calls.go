@@ -51,7 +51,7 @@ func RunIn(prog *ir.Program, fn *ir.Function, o Oracle, cfg Config) (*Trace, err
 		occ:      make(map[int]int),
 		mem:      make(map[int64]int64),
 	}
-	err := r.frame(fn, 0, 0, &state{regs: make(map[ir.Reg]int64), mem: r.mem})
+	err := r.frame(fn, 0, 0, &state{mem: r.mem})
 	return r.tr, err
 }
 
@@ -69,8 +69,12 @@ type runner struct {
 
 func (r *runner) frame(fn *ir.Function, base, depth int, st *state) error {
 	cur := fn.Entry
+	idle := 0
 	for {
 		b := fn.Block(cur)
+		if err := emptyCycle(fn, b, &idle); err != nil {
+			return err
+		}
 		r.tr.Blocks = append(r.tr.Blocks, ir.BlockID(nsOrig(base, int(b.Orig))))
 		next := b.FallThrough
 		jumped := false
@@ -119,7 +123,7 @@ func (r *runner) frame(fn *ir.Function, base, depth int, st *state) error {
 						fn.Name, op.Callee, len(op.Srcs), len(op.Dests),
 						len(callee.Params), len(callee.Rets))
 				}
-				cst := &state{regs: make(map[ir.Reg]int64), mem: st.mem}
+				cst := &state{mem: st.mem} // a fresh register file per frame
 				for i, p := range callee.Params {
 					cst.set(p, st.get(op.Srcs[i]))
 				}

@@ -87,8 +87,12 @@ func Run(fn *ir.Function, o Oracle, cfg Config) (*Trace, error) {
 	tr := &Trace{}
 	occ := make(map[int]int)
 	cur := fn.Entry
+	idle := 0
 	for {
 		b := fn.Block(cur)
+		if err := emptyCycle(fn, b, &idle); err != nil {
+			return tr, err
+		}
 		tr.Blocks = append(tr.Blocks, b.Orig)
 		next := b.FallThrough
 		jumped := false
@@ -136,6 +140,22 @@ func Run(fn *ir.Function, o Oracle, cfg Config) (*Trace, error) {
 	}
 }
 
+// emptyCycle bounds a walk's consecutive entries into blocks without ops,
+// which the op-step bound never sees. Control that enters more blocks than
+// fn has without executing an op is circling a cycle of empty blocks: it
+// changes no state and consults no oracle, so it would never terminate.
+// Such a walk is reported as an error; every other walk is untouched.
+func emptyCycle(fn *ir.Function, b *ir.Block, idle *int) error {
+	if len(b.Ops) > 0 {
+		*idle = 0
+		return nil
+	}
+	if *idle++; *idle > len(fn.Blocks) {
+		return fmt.Errorf("interp: %s: bb%d cycles through blocks without ops forever", fn.Name, b.ID)
+	}
+	return nil
+}
+
 // Profile runs fn `trips` times with seeds seed, seed+1, ... and accumulates
 // block and edge counts. Each trip's visited path contributes to the
 // profile keyed by the *current* block IDs (not originals), since region
@@ -157,9 +177,12 @@ func profileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) error {
 	}
 	occ := make(map[int]int)
 	cur := fn.Entry
-	steps := 0
+	steps, idle := 0, 0
 	for {
 		b := fn.Block(cur)
+		if err := emptyCycle(fn, b, &idle); err != nil {
+			return err
+		}
 		d.AddBlock(cur, 1)
 		next := b.FallThrough
 		jumped := false

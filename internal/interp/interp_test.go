@@ -233,3 +233,23 @@ func TestSyntheticMemoryDeterministic(t *testing.T) {
 		t.Fatal("load after store must see the store")
 	}
 }
+
+// TestEmptyBlockCycleCaught: a cycle of blocks without ops executes no op,
+// so the op-step bound never fires; every walk must still terminate with
+// an error instead of spinning (and growing the trace) forever.
+func TestEmptyBlockCycleCaught(t *testing.T) {
+	fn := ir.NewFunction("spin")
+	b0 := fn.NewBlock()
+	b1 := fn.NewBlock()
+	b0.FallThrough = b1.ID
+	b1.FallThrough = b0.ID
+	if _, err := Run(fn, NewOracle(1), Config{}); err == nil {
+		t.Error("Run: empty-block cycle not caught")
+	}
+	if _, err := RunIn(nil, fn, NewOracle(1), Config{}); err == nil {
+		t.Error("RunIn: empty-block cycle not caught")
+	}
+	if _, err := Profile(fn, 1, 1, Config{}); err == nil {
+		t.Error("Profile: empty-block cycle not caught")
+	}
+}

@@ -6,24 +6,39 @@ import "treegion/internal/ir"
 // Memory cells read before being written return a deterministic synthetic
 // value derived from the address, so load-dependent computation still
 // produces meaningful, reproducible store traces.
+//
+// Registers live in one dense file per class, indexed by register number
+// (the IR numbers registers densely per class). A file grows on the first
+// write past its end; a register never written reads 0, exactly as the
+// zero-initialized parameters the synthetic suite relies on.
 type state struct {
-	regs map[ir.Reg]int64
+	regs [5][]int64 // indexed by ir.RegClass, then Reg.Num
 	mem  map[int64]int64
 }
 
 func newState() *state {
-	return &state{
-		regs: make(map[ir.Reg]int64),
-		mem:  make(map[int64]int64),
-	}
+	return &state{mem: make(map[int64]int64)}
 }
 
-func (s *state) get(r ir.Reg) int64 { return s.regs[r] }
+func (s *state) get(r ir.Reg) int64 {
+	if int(r.Class) < len(s.regs) {
+		if f := s.regs[r.Class]; uint(r.Num) < uint(len(f)) {
+			return f[r.Num]
+		}
+	}
+	return 0
+}
 
 func (s *state) set(r ir.Reg, v int64) {
-	if r.IsValid() {
-		s.regs[r] = v
+	if !r.IsValid() {
+		return
 	}
+	f := s.regs[r.Class]
+	if r.Num >= len(f) {
+		f = append(f, make([]int64, r.Num+1-len(f))...)
+		s.regs[r.Class] = f
+	}
+	f[r.Num] = v
 }
 
 // SyntheticMem returns the initial content of an untouched memory cell.

@@ -1,6 +1,8 @@
 package irtext
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -130,6 +132,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad immediate", "func a\nbb0:\n  r1 = movi abc\n  ret"},
 		{"bad mem operand", "func a\nbb0:\n  r1 = ld r2+8\n  ret"},
 		{"empty mem operand", "func 0\nbb0:\nb0=ld []"},
+		{"huge register", "func 0\nbb0:\nr900000000=movi 1\np90000000=cmpp lt r900000000, r900000000\nret\n"},
+		{"huge param", "func f(r900000000)\nbb0:\n  ret"},
 		{"bad cond", "func a\nbb0:\n  p0 = cmpp zz r1, r2\n  ret"},
 		{"bad prob", "func a\nbb0:\n  p0 = cmpp gt r1, r2\n  brct _, p0, @bb1 #7\n  fallthrough @bb1\nbb1:\n  ret"},
 		{"guard not predicate", "func a\nbb0:\n  (r1) r2 = movi 3\n  ret"},
@@ -162,5 +166,51 @@ func TestParseTwoDestCmpp(t *testing.T) {
 	op := fn.Block(0).Ops[0]
 	if len(op.Dests) != 2 || op.Dests[1] != ir.Pred(1) || op.Cond != ir.CondLE {
 		t.Fatalf("cmpp parsed as %v", op)
+	}
+}
+
+// TestRegisterBound pins the register-number bound: a register at or above
+// RegisterBound is a typed parse error (the few-byte input that once
+// demanded gigabytes of dense tables), one just below it parses, and every
+// generated preset sits well inside it.
+func TestRegisterBound(t *testing.T) {
+	_, err := Parse("func 0\nbb0:\nr900000000=movi 1\np90000000=cmpp lt r900000000, r900000000\nret\n")
+	var re *RegisterRangeError
+	if !errors.As(err, &re) || re.Reg != ir.GPR(900000000) || re.Bound != RegisterBound(3, 0, 0) {
+		t.Fatalf("huge register: err = %v, want a RegisterRangeError for r900000000", err)
+	}
+	bound := RegisterBound(2, 0, 0)
+	if _, err := Parse(fmt.Sprintf("func f\nbb0:\n  r%d = movi 1\n  ret", bound-1)); err != nil {
+		t.Fatalf("r%d below the bound: %v", bound-1, err)
+	}
+	if _, err := Parse(fmt.Sprintf("func f\nbb0:\n  r%d = movi 1\n  ret", bound)); !errors.As(err, &re) {
+		t.Fatalf("r%d at the bound: err = %v, want a RegisterRangeError", bound, err)
+	}
+	if _, err := Parse(fmt.Sprintf("func f\nbb0:\n  (p%d) r1 = movi 1\n  ret", bound)); !errors.As(err, &re) {
+		t.Fatalf("guard p%d at the bound: err = %v, want a RegisterRangeError", bound, err)
+	}
+
+	names := []string{"callhot", "calldeep"}
+	for _, p := range progen.Presets() {
+		names = append(names, p.Name)
+	}
+	if !testing.Short() {
+		names = append(names, "stress", "stress2")
+	}
+	for _, name := range names {
+		p, _ := progen.PresetByName(name)
+		gen, err := progen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for _, fn := range gen.Funcs {
+			if _, err := ParseUnchecked(Print(fn)); err != nil {
+				t.Fatalf("%s/%s: %v", name, fn.Name, err)
+			}
+			idx := fn.RegIndexTable()
+			worst = max(worst, float64(idx.Len())/float64(fn.NumOps()))
+		}
+		t.Logf("%s: at most %.2f registers per op", name, worst)
 	}
 }

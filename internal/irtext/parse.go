@@ -88,6 +88,7 @@ func ParseUnchecked(src string) (*ir.Function, error) {
 	// counting the op lines per block for the slab carve.
 	var fnName string
 	var fnParams, fnRets []ir.Reg
+	fnLine := 0
 	var labels, labelLines, opsPerLabel []int
 	nops := 0
 	lineNo := 0
@@ -106,7 +107,7 @@ func ParseUnchecked(src string) (*ir.Function, error) {
 			if err != nil {
 				return nil, fmt.Errorf("irtext: line %d: %w", lineNo, err)
 			}
-			fnName, fnParams, fnRets = name, params, rets
+			fnName, fnParams, fnRets, fnLine = name, params, rets, lineNo
 		case strings.HasSuffix(line, ":"):
 			if fnName == "" {
 				return nil, fmt.Errorf("irtext: line %d: block before func declaration", lineNo)
@@ -132,11 +133,13 @@ func ParseUnchecked(src string) (*ir.Function, error) {
 
 	p.fn = ir.NewFunction(fnName)
 	p.fn.Params, p.fn.Rets = fnParams, fnRets
-	for _, r := range fnParams {
-		p.fn.NoteReg(r)
-	}
-	for _, r := range fnRets {
-		p.fn.NoteReg(r)
+	p.regBound = RegisterBound(nops, len(fnParams), len(fnRets))
+	for _, rs := range [][]ir.Reg{fnParams, fnRets} {
+		for _, r := range rs {
+			if err := p.note(r); err != nil {
+				return nil, fmt.Errorf("irtext: line %d: %w", fnLine, err)
+			}
+		}
 	}
 	// Machine-generated text declares bb0..bbN-1 in order; then the label
 	// IS the block index and the lookup is a slice. Hand-written files with
@@ -203,6 +206,9 @@ func funcHeader(hdr string) (name string, params, rets []ir.Reg, err error) {
 	name = strings.TrimSpace(hdr[:paren])
 	if name == "" {
 		return "", nil, nil, fmt.Errorf("func needs a name")
+	}
+	if strings.ContainsAny(name, " \t") {
+		return "", nil, nil, fmt.Errorf("bad func header %q", hdr)
 	}
 	rest := hdr[paren:]
 	params, rest, err = regList(rest)
@@ -285,6 +291,42 @@ type parser struct {
 	oi, ri      int
 	opsPerLabel []int // op-line count per declaration, for carving opPtrs
 	labelIdx    int   // next declaration index in the second pass
+	regBound    int   // RegisterBound of the function being parsed
+}
+
+// RegisterBound is the exclusive upper bound on register numbers in a
+// function of ops operations, params parameters and rets return registers:
+// 4·(ops + params + rets) + 64. Dense tables across the compiler, verifier
+// and interpreter (ir.RegIndex, the DDG walker's slabs, the interpreter's
+// register file) are sized by register number, so without a bound a few
+// bytes of text such as "r900000000 = movi 1" would demand gigabytes. The
+// bound is linear in the text's size and far above what real code needs:
+// compilers number registers densely, and the generated presets peak near
+// 0.9 registers per op.
+func RegisterBound(ops, params, rets int) int {
+	return 4*(ops+params+rets) + 64
+}
+
+// RegisterRangeError reports a register numbered at or above its
+// function's RegisterBound.
+type RegisterRangeError struct {
+	Reg   ir.Reg
+	Bound int
+}
+
+func (e *RegisterRangeError) Error() string {
+	return fmt.Sprintf("register %v out of range: this function may number registers below %d (4 per op, param and ret, plus 64)",
+		e.Reg, e.Bound)
+}
+
+// note checks r against the register bound and records it with the
+// function's register allocator.
+func (p *parser) note(r ir.Reg) error {
+	if r.IsValid() && r.Num >= p.regBound {
+		return &RegisterRangeError{Reg: r, Bound: p.regBound}
+	}
+	p.fn.NoteReg(r)
+	return nil
 }
 
 // block resolves the block labelled bbN, which must be declared.
@@ -318,7 +360,7 @@ func (p *parser) line(line string) error {
 		p.labelIdx++
 		off := len(p.opPtrs)
 		p.opPtrs = p.opPtrs[:off+cnt]
-		p.cur.Ops = p.opPtrs[off:off:off+cnt]
+		p.cur.Ops = p.opPtrs[off : off : off+cnt]
 		return nil
 	case p.cur == nil:
 		return fmt.Errorf("op outside a block")
@@ -468,7 +510,9 @@ func (p *parser) op(line string) error {
 			if err != nil {
 				return err
 			}
-			p.fn.NoteReg(d)
+			if err := p.note(d); err != nil {
+				return err
+			}
 			if ndests < len(destBuf) {
 				destBuf[ndests] = d
 			}
@@ -716,9 +760,13 @@ func (p *parser) op(line string) error {
 		op.Srcs = p.carveRegs(srcBuf[:2])
 	}
 	for _, s := range op.Srcs {
-		p.fn.NoteReg(s)
+		if err := p.note(s); err != nil {
+			return err
+		}
 	}
-	p.fn.NoteReg(op.Guard)
+	if err := p.note(op.Guard); err != nil {
+		return err
+	}
 	b.Ops = append(b.Ops, op)
 	return nil
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"treegion/internal/cfg"
 	"treegion/internal/ir"
@@ -227,90 +228,121 @@ func (c *irChecker) operands(b *ir.Block, op *ir.Op) {
 // first. Only predicate and branch-target reads are reported: those steer
 // control, while maybe-undefined data registers are the synthetic suite's
 // implicit zero-initialized parameters (the interpreter zero-fills them).
+//
+// Must-definedness is independent per register (the meet is a per-register
+// AND), so tracking only the p and b classes is exact: the data classes
+// could never change a reported verdict. The two classes get a dense index
+// of their own (p registers first, then b), and every set is a row of one
+// word-packed slab.
 func (c *irChecker) mustDefine() {
 	fn := c.fn
 	g := cfg.New(fn)
-	// definedIn[b] is the set of registers written on every path from entry
-	// to b. Must-analysis: initialize every non-entry block to "everything"
-	// (nil sentinel) and intersect over predecessors to a fixpoint.
-	definedIn := make([]cfg.RegSet, len(fn.Blocks))
-	definedIn[fn.Entry] = cfg.NewRegSet()
-	blockDefs := func(b *ir.Block, in cfg.RegSet) cfg.RegSet {
-		out := in.Clone()
+	var np, nb int // per-class register counts: highest number + 1
+	count := func(r ir.Reg) {
+		switch r.Class {
+		case ir.ClassPred:
+			np = max(np, r.Num+1)
+		case ir.ClassBTR:
+			nb = max(nb, r.Num+1)
+		}
+	}
+	for _, b := range fn.Blocks {
 		for _, op := range b.Ops {
 			for _, d := range op.Dests {
-				if d.IsValid() {
-					out.Add(d)
-				}
+				count(d)
+			}
+			for _, s := range op.Srcs {
+				count(s)
 			}
 		}
-		return out
 	}
+	idx := func(r ir.Reg) int {
+		switch r.Class {
+		case ir.ClassPred:
+			return r.Num
+		case ir.ClassBTR:
+			return np + r.Num
+		}
+		return -1
+	}
+	has := func(w []uint64, k int) bool { return w[k>>6]&(1<<(uint(k)&63)) != 0 }
+	set := func(w []uint64, k int) {
+		if k >= 0 {
+			w[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+
+	// One slab: a gen row (every p/b register the block writes) and an in
+	// row (written on every path from entry) per block, plus a scratch row
+	// for the meet. known[b] false stands for "every register" — no
+	// processed predecessor has constrained b yet.
+	n := len(fn.Blocks)
+	nw := (np + nb + 63) / 64
+	slab := make([]uint64, (2*n+1)*nw)
+	row := func(i int) []uint64 { return slab[i*nw : (i+1)*nw] }
+	gen := func(b ir.BlockID) []uint64 { return row(int(b)) }
+	in := func(b ir.BlockID) []uint64 { return row(n + int(b)) }
+	meet := row(2 * n)
+	for _, b := range fn.Blocks {
+		w := gen(b.ID)
+		for _, op := range b.Ops {
+			for _, d := range op.Dests {
+				set(w, idx(d))
+			}
+		}
+	}
+	known := make([]bool, n)
+	known[fn.Entry] = true
 	for changed := true; changed; {
 		changed = false
 		for _, bid := range g.RPO {
-			in := definedIn[bid]
-			if bid != fn.Entry {
-				in = nil // "all registers" until a predecessor constrains it
-				for _, p := range g.Preds[bid] {
-					if definedIn[p] == nil {
-						continue // unprocessed pred: no constraint yet
-					}
-					out := blockDefs(fn.Block(p), definedIn[p])
-					if in == nil {
-						in = out
-					} else {
-						in = intersect(in, out)
-					}
+			if bid == fn.Entry {
+				continue
+			}
+			constrained := false
+			for _, p := range g.Preds[bid] {
+				if !known[p] {
+					continue // unprocessed pred: no constraint yet
 				}
-				if in == nil {
-					continue
+				pin, pgen := in(p), gen(p)
+				if !constrained {
+					for i := range meet {
+						meet[i] = pin[i] | pgen[i]
+					}
+					constrained = true
+				} else {
+					for i := range meet {
+						meet[i] &= pin[i] | pgen[i]
+					}
 				}
 			}
-			if definedIn[bid] == nil || len(in) != len(definedIn[bid]) || !subset(definedIn[bid], in) {
-				definedIn[bid] = in
+			if !constrained {
+				continue
+			}
+			cur := in(bid)
+			if !known[bid] || !slices.Equal(cur, meet) {
+				copy(cur, meet)
+				known[bid] = true
 				changed = true
 			}
 		}
 	}
+	defined := make([]uint64, nw)
 	for _, b := range fn.Blocks {
-		in := definedIn[b.ID]
-		if in == nil {
+		if !known[b.ID] {
 			continue // unreachable: never executes
 		}
-		defined := in.Clone()
+		copy(defined, in(b.ID))
 		for _, op := range b.Ops {
 			for _, s := range op.Srcs {
-				if s.IsValid() && !defined.Has(s) &&
-					(s.Class == ir.ClassPred || s.Class == ir.ClassBTR) {
+				if k := idx(s); k >= 0 && !has(defined, k) {
 					c.add("IR009", Error, b.ID, op.ID,
 						"%v reads %v, which has no definition on some path from entry", op, s)
 				}
 			}
 			for _, d := range op.Dests {
-				if d.IsValid() {
-					defined.Add(d)
-				}
+				set(defined, idx(d))
 			}
 		}
 	}
-}
-
-func intersect(a, b cfg.RegSet) cfg.RegSet {
-	out := cfg.NewRegSet()
-	for r := range a {
-		if b.Has(r) {
-			out.Add(r)
-		}
-	}
-	return out
-}
-
-func subset(a, b cfg.RegSet) bool {
-	for r := range a {
-		if !b.Has(r) {
-			return false
-		}
-	}
-	return true
 }

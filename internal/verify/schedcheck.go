@@ -158,9 +158,9 @@ func (c *schedChecker) edgeConformance() {
 // definitions (guarded definitions join, unguarded ones kill), readers
 // since definition, and the serialized memory state.
 func (c *schedChecker) pathDependences() {
+	regs := newPathRegs(&c.lv.Regs, c.g.Nodes)
 	for _, leaf := range c.r.Leaves() {
-		defs := make(map[ir.Reg][]*ddg.Node)
-		readers := make(map[ir.Reg][]*ddg.Node)
+		regs.reset()
 		var lastStore *ddg.Node
 		var loads []*ddg.Node
 		for _, bid := range c.r.PathTo(leaf) {
@@ -171,20 +171,23 @@ func (c *schedChecker) pathDependences() {
 				op := n.Op
 				srcs := op.Srcs
 				if op.Guarded() {
-					srcs = append(append([]ir.Reg(nil), srcs...), op.Guard)
+					var buf [3]ir.Reg
+					srcs = append(append(buf[:0], srcs...), op.Guard)
 				}
 				for _, src := range srcs {
 					if !src.IsValid() {
 						continue
 					}
-					for _, def := range defs[src] {
+					i, sl := regs.at(src)
+					for _, def := range sl.defs {
 						if lat := machine.Latency(def.Op.Opcode); c.cyc(n) < c.cyc(def)+lat {
 							c.addOnce("SC002", def, n,
 								"%v (cycle %d) reads %v before %v (cycle %d, latency %d) produces it",
 								op, c.cyc(n), src, def.Op, c.cyc(def), lat)
 						}
 					}
-					readers[src] = append(readers[src], n)
+					regs.touch(i, sl)
+					sl.readers = append(sl.readers, n)
 				}
 				switch op.Opcode {
 				case ir.Ld:
@@ -205,20 +208,21 @@ func (c *schedChecker) pathDependences() {
 						}
 					}
 					lastStore = n
-					loads = nil
+					loads = loads[:0]
 				}
 				for _, d := range op.Dests {
 					if !d.IsValid() {
 						continue
 					}
-					for _, rd := range readers[d] {
+					_, sl := regs.at(d)
+					for _, rd := range sl.readers {
 						if rd != n && c.cyc(n) < c.cyc(rd) {
 							c.addOnce("SC002", rd, n,
 								"%v (cycle %d) overwrites %v before reader %v (cycle %d)",
 								op, c.cyc(n), d, rd.Op, c.cyc(rd))
 						}
 					}
-					for _, def := range defs[d] {
+					for _, def := range sl.defs {
 						if c.cyc(n) < c.cyc(def)+1 {
 							c.addOnce("SC002", def, n,
 								"%v (cycle %d) does not issue after prior definition %v (cycle %d)",
@@ -230,16 +234,102 @@ func (c *schedChecker) pathDependences() {
 					if !d.IsValid() {
 						continue
 					}
-					if op.Guarded() {
-						defs[d] = append(defs[d], n)
-					} else {
-						defs[d] = []*ddg.Node{n}
-						readers[d] = nil
+					i, sl := regs.at(d)
+					if !op.Guarded() {
+						sl.defs = sl.defs[:0]
+						sl.readers = sl.readers[:0]
 					}
+					regs.touch(i, sl)
+					sl.defs = append(sl.defs, n)
 				}
 			}
 		}
 	}
+}
+
+// pathRegs holds one path walk's reaching definitions and readers since
+// definition, per register, in slots numbered region-locally: every
+// register the region's nodes name gets one slot up front. The map from
+// register to slot is dense over idx, the verifier's own RegIndexTable
+// snapshot of the function (the one its liveness pass took), so a lookup is
+// two array loads; a register outside the snapshot — one an op of the graph
+// names but no op of the function does — gets a slot through a small map,
+// so every register is tracked exactly. Walks reset only the slots they
+// touched.
+type pathRegs struct {
+	idx     *ir.RegIndex
+	local   []int32 // dense index → slot+1
+	extra   map[ir.Reg]int32
+	slots   []pathSlot
+	touched []int32
+}
+
+type pathSlot struct {
+	defs    []*ddg.Node // definitions reaching this point of the path
+	readers []*ddg.Node // reads since the last killing definition
+}
+
+func newPathRegs(idx *ir.RegIndex, nodes []*ddg.Node) *pathRegs {
+	t := &pathRegs{idx: idx, local: make([]int32, idx.Len())}
+	n := int32(0)
+	assign := func(r ir.Reg) {
+		if !r.IsValid() {
+			return
+		}
+		if k := idx.Of(r); k >= 0 {
+			if t.local[k] == 0 {
+				n++
+				t.local[k] = n
+			}
+			return
+		}
+		if t.extra[r] == 0 {
+			if t.extra == nil {
+				t.extra = make(map[ir.Reg]int32)
+			}
+			n++
+			t.extra[r] = n
+		}
+	}
+	for _, nd := range nodes {
+		for _, r := range nd.Op.Srcs {
+			assign(r)
+		}
+		for _, r := range nd.Op.Dests {
+			assign(r)
+		}
+		assign(nd.Op.Guard)
+	}
+	t.slots = make([]pathSlot, n)
+	return t
+}
+
+// at returns r's slot; r must be named by one of the region's nodes.
+func (t *pathRegs) at(r ir.Reg) (int32, *pathSlot) {
+	var i int32
+	if k := t.idx.Of(r); k >= 0 {
+		i = t.local[k] - 1
+	} else {
+		i = t.extra[r] - 1
+	}
+	return i, &t.slots[i]
+}
+
+// touch records a slot about to go from empty to non-empty (a slot may be
+// listed more than once; reset is idempotent).
+func (t *pathRegs) touch(i int32, s *pathSlot) {
+	if len(s.defs) == 0 && len(s.readers) == 0 {
+		t.touched = append(t.touched, i)
+	}
+}
+
+func (t *pathRegs) reset() {
+	for _, i := range t.touched {
+		s := &t.slots[i]
+		s.defs = s.defs[:0]
+		s.readers = s.readers[:0]
+	}
+	t.touched = t.touched[:0]
 }
 
 // terms returns bid's terminator nodes in effective order.
