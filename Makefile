@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench bench-compare check loadtest ci
+.PHONY: all build vet lint test race fuzz bench bench-compare bench-ab check loadtest ci
 
 all: build
 
@@ -34,31 +34,37 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the parser fuzzer (irtext.FuzzParse) for a fixed short budget:
+# fuzz runs each fuzz target for a fixed short budget. irtext.FuzzParse:
 # whatever parses must print back to a fixed point and survive the IR
-# verifier and a step-bounded interpretation. Crashers land in
-# internal/irtext/testdata/fuzz/FuzzParse, which plain `go test` replays.
+# verifier and a step-bounded interpretation. treegiond's
+# FuzzCompileRequest: any /v1/compile or /v1/compile-batch body answers
+# 200, 400, 413 or 422, every error with a JSON error code. Crashers land
+# under each package's testdata/fuzz/<target>, which plain `go test`
+# replays.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 30s ./internal/irtext/
+	$(GO) test -run NONE -fuzz FuzzCompileRequest -fuzztime 30s ./cmd/treegiond/
 
 # Suite compiles (serial/parallel/cached/verified/warm-store/verified-warm),
 # the stress preset at 8 workers, the interprocedural presets with inlining
 # off and on (BenchmarkCompileSuiteInline), plus the per-phase
 # micro-benchmarks of the compiler core (liveness, DDG build, list
 # scheduling), with allocation counts. The raw `go test -json` stream is
-# captured in BENCH_9.json for machine comparison against earlier runs
-# (`make bench-compare` diffs it against BENCH_8.json). The parallel and
-# stress benchmarks report speedup-vs-serial; on a single-core box that
-# metric caps at ~1x by physics.
+# written to $(BENCH_NEW); `make bench-compare` diffs it against
+# $(BENCH_OLD). A capture is evidence from the box that ran it, one
+# -benchtime 3x sample per benchmark; for an A/B against a parent commit
+# use `make bench-ab`. The parallel and stress benchmarks report
+# speedup-vs-serial; on a single-core box that metric caps at ~1x by
+# physics.
+BENCH_OLD ?= BENCH_8.json
+BENCH_NEW ?= BENCH_9.json
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_9.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee $(BENCH_NEW)
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints the old/new/delta table. Override the
 # endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_8.json
-BENCH_NEW ?= BENCH_9.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \
@@ -67,6 +73,16 @@ bench-compare:
 	else \
 		$(GO) run ./cmd/benchdiff $(BENCH_OLD) $(BENCH_NEW); \
 	fi
+
+# bench-ab runs perfbench's interleaved A/B of this tree against PARENT (a
+# git revision, built in a worktree under .bench_ab/) on one WORKLOAD
+# (suite, stress or serve): `make bench-ab PARENT=<rev> WORKLOAD=<name>`.
+# It prints each end-to-end metric's medians, quartiles and verdict; see
+# perfbench/ab.py.
+PARENT ?= HEAD~1
+WORKLOAD ?= suite
+bench-ab:
+	python3 perfbench/ab.py ab --parent $(PARENT) --workload $(WORKLOAD)
 
 # check is the fast gate: lint + build + full tests, plus the race detector
 # over the concurrency-heavy subsystems (artifact store with its tgart2

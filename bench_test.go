@@ -285,10 +285,10 @@ func serialSuiteSeconds(b *testing.B, s *Suite) float64 {
 }
 
 // BenchmarkCompileSuiteParallel compiles the 8-benchmark suite on the
-// batched work-stealing pool at several worker counts and reports each
-// run's wall-clock ratio over the serial baseline. The workers=1 sub-bench
-// takes compileMany's serial fast path — no goroutine, no steal queue — so
-// it ties the baseline by construction; its metric is labelled serial-tie
+// pipeline's workers at several worker counts and reports each run's
+// wall-clock ratio over the serial baseline. The workers=1 sub-bench runs
+// compileMany's loop on the caller's goroutine alone — no goroutine is
+// started — so it ties the baseline by construction; its metric is labelled serial-tie
 // rather than speedup-vs-serial so the regression gate reads it as a
 // dispatch-overhead check, not a parallel loss. The parallel metrics are
 // honest about the hardware: the ≥2x numbers need ≥2 real cores.
@@ -320,7 +320,7 @@ func BenchmarkCompileSuiteParallel(b *testing.B) {
 // functions, ~7000 ops each — an order of magnitude past the largest suite
 // benchmark) at 8 workers, reporting speedup-vs-serial against a 1-worker
 // pass over the same program. This is the scale-out headline number: large
-// independent functions are the work-stealing pool's best case, and the
+// independent functions are the worker pool's best case, and the
 // per-worker arena reuse pays off most on functions this size.
 func BenchmarkCompileStress(b *testing.B) {
 	stressOnce.Do(func() {

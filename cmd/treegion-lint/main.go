@@ -55,14 +55,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
 		os.Exit(2)
 	}
-	m, ok := treegion.MachineByName(*machineName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "treegion-lint: unknown machine %q\n", *machineName)
-		os.Exit(2)
+	var configs []treegion.Config
+	for _, kindName := range kinds {
+		for _, hName := range heuristics {
+			cfg, err := treegion.ConfigByName(kindName, hName, *machineName, *limit)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
+				os.Exit(2)
+			}
+			configs = append(configs, cfg)
+		}
 	}
 
 	failed := false
-	files, configs := 0, 0
+	files := 0
 	for _, path := range flag.Args() {
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -70,53 +76,20 @@ func main() {
 			failed = true
 			continue
 		}
-		irprog, err := treegion.ParseIRProgram(string(src))
+		prog, profs, err := treegion.LoadIR(string(src), *seed, *trips, true, treegion.ProfileFunction)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: parse: %v\n", path, err)
+			if !errors.As(err, new(*treegion.ProfileError)) {
+				err = fmt.Errorf("parse: %w", err)
+			}
+			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			failed = true
 			continue
 		}
-		prog := &treegion.Program{Name: path, Funcs: irprog.Funcs}
-		var profs treegion.Profiles
-		profileOK := true
-		for i, fn := range irprog.Funcs {
-			prof, err := treegion.ProfileFunction(fn, *seed+uint64(i), *trips)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: profile %s: %v\n", path, fn.Name, err)
-				failed = true
-				profileOK = false
-				break
-			}
-			profs = append(profs, prof)
-		}
-		if !profileOK {
-			continue
-		}
+		prog.Name = path
 		files++
-		for _, kindName := range kinds {
-			for _, hName := range heuristics {
-				kind, err := treegion.ParseRegionKind(kindName)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
-					os.Exit(2)
-				}
-				h, err := treegion.ParseHeuristic(hName)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
-					os.Exit(2)
-				}
-				cfg := treegion.Config{
-					Kind:                 kind,
-					Heuristic:            h,
-					Machine:              m,
-					Rename:               true,
-					DominatorParallelism: kind == treegion.TreegionTD,
-					TD:                   treegion.TDConfig{ExpansionLimit: *limit, PathLimit: 20, MergeLimit: 4},
-				}
-				configs++
-				if lintOne(path, prog, profs, cfg, *inlineFlag, *quiet) {
-					failed = true
-				}
+		for _, cfg := range configs {
+			if lintOne(path, prog, profs, cfg, *inlineFlag, *quiet) {
+				failed = true
 			}
 		}
 	}
@@ -124,7 +97,7 @@ func main() {
 		os.Exit(1)
 	}
 	if !*quiet {
-		fmt.Printf("treegion-lint: %d file(s) clean across %d configuration(s)\n", files, configs)
+		fmt.Printf("treegion-lint: %d file(s) clean across %d configuration(s)\n", files, files*len(configs))
 	}
 }
 

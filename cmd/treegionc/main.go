@@ -57,18 +57,12 @@ func main() {
 		return
 	}
 
-	kind, err := treegion.ParseRegionKind(*regionKind)
+	cfg, err := treegion.ConfigByName(*regionKind, *heuristic, *machineName, *limit)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h, err := treegion.ParseHeuristic(*heuristic)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, ok := treegion.MachineByName(*machineName)
-	if !ok {
-		log.Fatalf("unknown machine %q", *machineName)
-	}
+	cfg.Rename = !*noRename
+	cfg.IfConvert = *ifConvert
 
 	var prog *treegion.Program
 	var profs treegion.Profiles
@@ -77,20 +71,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		irprog, err := treegion.ParseIRProgram(string(src))
+		prog, profs, err = treegion.LoadIR(string(src), 1, *trips, true, treegion.ProfileFunction)
 		if err != nil {
 			log.Fatal(err)
 		}
-		prog = &treegion.Program{Name: irprog.Funcs[0].Name, Funcs: irprog.Funcs}
-		for i, fn := range irprog.Funcs {
-			prof, err := treegion.ProfileFunction(fn, uint64(1+i), *trips)
-			if err != nil {
-				log.Fatal(err)
-			}
-			profs = append(profs, prof)
-		}
 	} else {
-		var err error
 		prog, err = treegion.GenerateBenchmark(*bench)
 		if err != nil {
 			log.Fatal(err)
@@ -101,15 +86,6 @@ func main() {
 		}
 	}
 
-	cfg := treegion.Config{
-		Kind:                 kind,
-		Heuristic:            h,
-		Machine:              m,
-		Rename:               !*noRename,
-		DominatorParallelism: kind == treegion.TreegionTD,
-		TD:                   treegion.TDConfig{ExpansionLimit: *limit, PathLimit: 20, MergeLimit: 4},
-		IfConvert:            *ifConvert,
-	}
 	ctx := context.Background()
 	copts := []treegion.CompileOption{treegion.WithWorkers(*workers)}
 	if *verifyFlag {
@@ -154,7 +130,7 @@ func main() {
 
 	fmt.Printf("benchmark:      %s (%d functions)\n", prog.Name, len(prog.Funcs))
 	fmt.Printf("configuration:  %s regions, %s heuristic, %s machine, rename=%v\n",
-		kind, h, m.Name, cfg.Rename)
+		cfg.Kind, cfg.Heuristic, cfg.Machine.Name, cfg.Rename)
 	fmt.Printf("estimated time: %.0f cycles (baseline %.0f)\n", res.Time, base.Time)
 	fmt.Printf("speedup:        %.3fx over 1-issue basic blocks\n", treegion.Speedup(base.Time, res.Time))
 	fmt.Printf("code expansion: %.2f\n", res.CodeExpansion)

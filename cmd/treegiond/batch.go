@@ -22,46 +22,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"treegion"
 )
 
-// batchRequest is the POST /v1/compile-batch body: shared configuration
-// (same fields and defaults as /v1/compile) plus the function list.
+// batchRequest is the POST /v1/compile-batch body: the function list plus
+// one shared configuration (same fields and defaults as /v1/compile). With
+// "inline" the batch must form a valid program: function names unique,
+// every named callee present in the batch, call arities matching the
+// callee signatures.
 type batchRequest struct {
 	Functions []batchFunction `json:"functions"`
-
-	Region         string  `json:"region"`
-	Heuristic      string  `json:"heuristic"`
-	Machine        string  `json:"machine"`
-	Rename         *bool   `json:"rename"`
-	DomPar         bool    `json:"dompar"`
-	IfConvert      bool    `json:"ifconvert"`
-	ExpansionLimit float64 `json:"expansion_limit"`
-	Seed           uint64  `json:"seed"`
-	Trips          int     `json:"trips"`
-	Schedules      bool    `json:"schedules"`
-	Verify         bool    `json:"verify"`
-	// Inline resolves the batch's functions into one program and splices
-	// eligible callees into the growing treegions. The batch must form a
-	// valid program: function names unique, every named callee present in
-	// the batch, call arities matching the callee signatures.
-	Inline bool `json:"inline"`
+	compileConfig
 }
 
 // batchFunction is one function of a batch.
 type batchFunction struct {
 	IR string `json:"ir"`
-}
-
-// batchRequestFields lists the accepted body fields for the unknown-field
-// 400.
-var batchRequestFields = []string{
-	"functions", "region", "heuristic", "machine", "rename", "dompar",
-	"ifconvert", "expansion_limit", "seed", "trips", "schedules", "verify",
-	"inline",
 }
 
 // maxBatchFunctions bounds one batch; bigger workloads belong on several
@@ -94,51 +72,20 @@ type batchSummary struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// compileRequestFor projects the shared batch configuration onto the
-// single-compile request shape so configFrom/parseAndProfile/shapeResponse
-// are shared verbatim with /v1/compile.
-func (br *batchRequest) compileRequestFor(ir string) *compileRequest {
-	return &compileRequest{
-		IR:             ir,
-		Region:         br.Region,
-		Heuristic:      br.Heuristic,
-		Machine:        br.Machine,
-		Rename:         br.Rename,
-		DomPar:         br.DomPar,
-		IfConvert:      br.IfConvert,
-		ExpansionLimit: br.ExpansionLimit,
-		Seed:           br.Seed,
-		Trips:          br.Trips,
-		Schedules:      br.Schedules,
-		Verify:         br.Verify,
-		Inline:         br.Inline,
-	}
-}
-
-func decodeBatchRequest(data []byte) (*batchRequest, *apiError) {
-	var req batchRequest
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if f, ok := unknownField(err); ok {
-			return nil, apiErr(http.StatusBadRequest, "unknown_field",
-				fmt.Errorf("unknown config field %q (valid fields: %s)", f, strings.Join(batchRequestFields, ", ")))
-		}
-		return nil, apiErr(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
-	}
+func (req *batchRequest) check() *apiError {
 	if len(req.Functions) == 0 {
-		return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing or empty \"functions\" field"))
+		return apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing or empty \"functions\" field"))
 	}
 	if len(req.Functions) > maxBatchFunctions {
-		return nil, apiErr(http.StatusBadRequest, "batch_too_large",
+		return apiErr(http.StatusBadRequest, "batch_too_large",
 			fmt.Errorf("%d functions in one batch (max %d)", len(req.Functions), maxBatchFunctions))
 	}
 	for i, f := range req.Functions {
 		if f.IR == "" {
-			return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("functions[%d]: missing \"ir\" field", i))
+			return apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("functions[%d]: missing \"ir\" field", i))
 		}
 	}
-	return &req, nil
+	return req.checkTrips()
 }
 
 func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
@@ -153,31 +100,34 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, aerr)
 		return
 	}
-	req, aerr := decodeBatchRequest(body)
+	var req batchRequest
+	if aerr := decodeRequest(body, &req); aerr != nil {
+		s.writeError(w, aerr)
+		return
+	}
+	cfg, aerr := req.config()
 	if aerr != nil {
 		s.writeError(w, aerr)
 		return
 	}
-	shared := req.compileRequestFor("")
-	cfg, err := s.configFrom(shared)
-	if err != nil {
-		s.writeError(w, apiErr(http.StatusBadRequest, "bad_config", err))
-		return
-	}
 	// Parse and profile every function before the first response byte, so
 	// malformed input still gets a clean HTTP error status instead of a
-	// broken 200 stream.
+	// broken 200 stream. Each entry is its own one-function source.
 	n := len(req.Functions)
 	fns := make([]*treegion.Function, n)
 	profs := make([]*treegion.ProfileData, n)
 	for i, f := range req.Functions {
-		fn, prof, aerr := s.parseAndProfile(req.compileRequestFor(f.IR))
+		prog, p, aerr := req.load(f.IR, false)
+		if aerr == nil && len(prog.Funcs) != 1 {
+			aerr = apiErr(http.StatusBadRequest, "bad_ir",
+				fmt.Errorf("parse ir: %d functions in one entry (a batch entry holds one)", len(prog.Funcs)))
+		}
 		if aerr != nil {
 			aerr.msg = fmt.Sprintf("functions[%d]: %s", i, aerr.msg)
 			s.writeError(w, aerr)
 			return
 		}
-		fns[i], profs[i] = fn, prof
+		fns[i], profs[i] = prog.Funcs[0], p[0]
 	}
 	// An inlining batch must resolve into a program; reject an unresolvable
 	// one here, while a clean HTTP error status is still possible (the
@@ -209,7 +159,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 			if cached {
 				nCached++
 			}
-			line.Result = s.shapeResponse(req.compileRequestFor(req.Functions[i].IR), fr, cached)
+			line.Result = shapeResponse(&req.compileConfig, false, fr, cached)
 		}
 		// Each line gets its own write window: long batches must not trip
 		// the server-wide response write timeout mid-stream.
@@ -219,7 +169,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return rc.Flush()
 	}
-	err = treegion.CompileEach(r.Context(), fns, profs, cfg, emit, s.compileOptions(req.Verify, req.Inline)...)
+	err := treegion.CompileEach(r.Context(), fns, profs, cfg, emit, s.compileOptions(&req.compileConfig)...)
 	if err != nil {
 		// The client is gone (write failure or disconnect-driven cancel);
 		// there is nobody left to send a summary to.

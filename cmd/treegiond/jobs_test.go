@@ -35,6 +35,11 @@ func storeServer(t *testing.T, dir string, jobWorkers, jobQueue int) (*server, *
 	return s, ts
 }
 
+// slowLoop profiles slowly: its loop block repeats with probability
+// 0.9999, about 10k iterations (40k interpreter steps) per profiling trip,
+// far inside the 2M-step bound.
+const slowLoop = "func slow\nbb0:\n  r0 = movi 1\n  fallthrough @bb1\nbb1:\n  r0 = add r0, r0\n  p0 = cmpp gt r0, r0\n  brct _, p0, @bb1 #0.9999\n  fallthrough @bb2\nbb2:\n  ret\n"
+
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, jobResponse) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -124,9 +129,10 @@ func TestJobQueueOverflowAnswers429(t *testing.T) {
 	got429 := false
 	var accepted []string
 	for i := 0; i < 12 && !got429; i++ {
-		// Heavy profiling trips keep each job busy long enough that the
-		// single worker cannot drain the queue between submissions.
-		b, _ := json.Marshal(map[string]any{"ir": fig1(t), "trips": 2000000, "seed": uint64(i + 1)})
+		// A long-looping function at the trips bound keeps each job busy
+		// long enough that the single worker cannot drain the queue between
+		// submissions.
+		b, _ := json.Marshal(map[string]any{"ir": slowLoop, "trips": maxTrips, "seed": uint64(i + 1)})
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(b)))
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +202,7 @@ func TestJobCancelQueued(t *testing.T) {
 	// Saturate the single worker so the second job stays queued, then
 	// DELETE it before it runs.
 	_, ts := storeServer(t, t.TempDir(), 1, 4)
-	slow, _ := json.Marshal(map[string]any{"ir": fig1(t), "trips": 20000})
+	slow, _ := json.Marshal(map[string]any{"ir": slowLoop, "trips": 10})
 	fast, _ := json.Marshal(map[string]any{"ir": fig1(t), "seed": 99})
 	_, first := postJob(t, ts, string(slow))
 	_, second := postJob(t, ts, string(fast))

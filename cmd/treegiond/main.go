@@ -7,6 +7,8 @@
 //
 //	POST   /v1/compile    {"ir": "func f\nbb0:\n  ...", "region": "tree", ...}
 //	                      → schedule metadata + timing JSON (see compileRequest)
+//	POST   /v1/compile-batch {"functions": [{"ir": ...}, ...], "region": ...}
+//	                      → NDJSON, one line per function then a summary
 //	POST   /v1/jobs       same body → 202 {"id": "j...", "state": "queued"};
 //	                      429 queue_full when the bounded queue overflows
 //	GET    /v1/jobs       list known jobs, newest first
@@ -14,6 +16,7 @@
 //	DELETE /v1/jobs/{id}  cancel a queued or running job
 //	GET    /v1/metrics    cache/store/jobs/pipeline/HTTP counters plus
 //	                      per-phase compile latency histograms, Prometheus text
+//	GET    /v1/store/stats artifact-store counters ({"enabled": false} without -store-dir)
 //	GET    /v1/healthz    liveness probe
 //
 // Errors are structured: {"error": {"code": "...", "message": "..."}} with

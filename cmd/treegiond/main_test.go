@@ -122,23 +122,28 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 }
 
+// compileErrorCases are /v1/compile bodies with their structured error
+// answers; FuzzCompileRequest seeds its corpus from them.
+var compileErrorCases = []struct {
+	name, body string
+	want       int
+	code       string
+}{
+	{"empty body", ``, http.StatusBadRequest, "bad_json"},
+	{"missing ir", `{}`, http.StatusBadRequest, "missing_field"},
+	{"bad ir", `{"ir": "not a function"}`, http.StatusBadRequest, "bad_ir"},
+	{"empty mem operand", `{"ir": "func 0\nbb0:\nb0=ld []"}`, http.StatusBadRequest, "bad_ir"},
+	{"huge register", `{"ir": "func 0\nbb0:\nr900000000=movi 1\np90000000=cmpp lt r900000000, r900000000\nret\n"}`, http.StatusBadRequest, "bad_ir"},
+	{"empty block cycle", `{"ir": "func f\nbb0:\nfallthrough @bb0\n"}`, http.StatusUnprocessableEntity, "profile_failed"},
+	{"bad region", `{"ir": "func f\nbb0:\n  ret\n", "region": "nope"}`, http.StatusBadRequest, "bad_config"},
+	{"bad machine", `{"ir": "func f\nbb0:\n  ret\n", "machine": "2U"}`, http.StatusBadRequest, "bad_config"},
+	{"trips above bound", `{"ir": "func f\nbb0:\n  ret\n", "trips": 1001}`, http.StatusBadRequest, "bad_config"},
+	{"huge trips", `{"ir": "func f\nbb0:\n  ret\n", "trips": 9000000000000000000}`, http.StatusBadRequest, "bad_config"},
+}
+
 func TestCompileEndpointErrors(t *testing.T) {
 	_, ts := testServer(t)
-	cases := []struct {
-		name, body string
-		want       int
-		code       string
-	}{
-		{"empty body", ``, http.StatusBadRequest, "bad_json"},
-		{"missing ir", `{}`, http.StatusBadRequest, "missing_field"},
-		{"bad ir", `{"ir": "not a function"}`, http.StatusBadRequest, "bad_ir"},
-		{"empty mem operand", `{"ir": "func 0\nbb0:\nb0=ld []"}`, http.StatusBadRequest, "bad_ir"},
-		{"huge register", `{"ir": "func 0\nbb0:\nr900000000=movi 1\np90000000=cmpp lt r900000000, r900000000\nret\n"}`, http.StatusBadRequest, "bad_ir"},
-		{"empty block cycle", `{"ir": "func f\nbb0:\nfallthrough @bb0\n"}`, http.StatusUnprocessableEntity, "profile_failed"},
-		{"bad region", `{"ir": "func f\nbb0:\n  ret\n", "region": "nope"}`, http.StatusBadRequest, "bad_config"},
-		{"bad machine", `{"ir": "func f\nbb0:\n  ret\n", "machine": "2U"}`, http.StatusBadRequest, "bad_config"},
-	}
-	for _, tc := range cases {
+	for _, tc := range compileErrorCases {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
 	"strings"
 	"time"
 
@@ -118,8 +120,8 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc(apiPrefix+"/healthz", s.handleHealthz)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "not_found",
-			fmt.Errorf("no such endpoint %q (want %s/compile, %s/jobs, %s/metrics or %s/healthz)",
-				r.URL.Path, apiPrefix, apiPrefix, apiPrefix, apiPrefix))
+			fmt.Errorf("no such endpoint %q (want %s/compile, %s/compile-batch, %s/jobs, %s/metrics, %s/store/stats or %s/healthz)",
+				r.URL.Path, apiPrefix, apiPrefix, apiPrefix, apiPrefix, apiPrefix, apiPrefix))
 	})
 	return mux
 }
@@ -136,13 +138,11 @@ func debugRoutes() http.Handler {
 	return mux
 }
 
-// compileRequest is the POST /v1/compile body. The function arrives as
-// textual IR (the internal/irtext grammar); the configuration arrives by
-// name, mirroring treegionc's flags. Zero values select the paper's
-// defaults (treegions, global weight, 4U, renaming on). Unknown fields are
-// rejected with a structured 400.
-type compileRequest struct {
-	IR        string `json:"ir"`
+// compileConfig is the configuration every compile request carries, by
+// name, mirroring treegionc's flags; compileRequest and batchRequest embed
+// it. Zero values select the paper's defaults (treegions, global weight,
+// 4U, renaming on).
+type compileConfig struct {
 	Region    string `json:"region"`    // bb, slr, tree, sb, tree-td (default tree)
 	Heuristic string `json:"heuristic"` // depheight, exitcount, globalweight, weightedcount
 	Machine   string `json:"machine"`   // 1U, 4U, 8U, 16U (default 4U)
@@ -152,13 +152,12 @@ type compileRequest struct {
 	IfConvert bool  `json:"ifconvert"`
 	// ExpansionLimit bounds tree-td tail duplication (default 2.0).
 	ExpansionLimit float64 `json:"expansion_limit"`
-	// Seed and Trips drive the stochastic profiler (defaults 1 and 100).
+	// Seed and Trips drive the stochastic profiler (defaults 1 and 100;
+	// trips at most maxTrips).
 	Seed  uint64 `json:"seed"`
 	Trips int    `json:"trips"`
 	// Schedules requests the textual schedules in the response.
 	Schedules bool `json:"schedules"`
-	// Trace requests the per-phase compile trace in the response.
-	Trace bool `json:"trace"`
 	// Verify runs the static schedule verifier over the result. A schedule
 	// with Error-severity diagnostics is rejected with a 422 verify_failed
 	// error listing the violated rule IDs; advisory diagnostics ride along
@@ -166,16 +165,34 @@ type compileRequest struct {
 	Verify bool `json:"verify"`
 	// Inline enables demand-driven inline-on-absorb: the request's functions
 	// are resolved into a program and calls whose callee fits the default
-	// budgets are spliced into the growing treegions. Requires the "ir" field
-	// to resolve as a program (callees defined, arities matching).
+	// budgets are spliced into the growing treegions. The functions must
+	// resolve as a program (callees defined, arities matching).
 	Inline bool `json:"inline"`
 }
 
-// compileRequestFields lists the accepted body fields, quoted in the
-// structured 400 a request with an unknown field receives.
-var compileRequestFields = []string{
-	"ir", "region", "heuristic", "machine", "rename", "dompar", "ifconvert",
-	"expansion_limit", "seed", "trips", "schedules", "trace", "verify", "inline",
+// compileRequest is the POST /v1/compile body (and the POST /v1/jobs
+// payload). The "ir" field holds one function or a whole program as
+// textual IR (the internal/irtext grammar). Unknown fields are rejected
+// with a structured 400.
+type compileRequest struct {
+	IR string `json:"ir"`
+	compileConfig
+	// Trace requests the per-phase compile trace in the response.
+	Trace bool `json:"trace"`
+}
+
+// maxTrips bounds the profiling trips a request may ask for. Each trip may
+// run up to the interpreter's 2M-step bound, so trips multiplies a
+// request's profiling cost; every caller in the repository uses 12-120.
+const maxTrips = 1000
+
+// checkTrips rejects a profiling request the daemon will not run.
+func (c *compileConfig) checkTrips() *apiError {
+	if c.Trips > maxTrips {
+		return apiErr(http.StatusBadRequest, "bad_config",
+			fmt.Errorf("trips %d above the limit of %d", c.Trips, maxTrips))
+	}
+	return nil
 }
 
 // tracePhase is one row of the optional per-phase trace in the response.
@@ -188,30 +205,30 @@ type tracePhase struct {
 // compileResponse is the POST /v1/compile reply: the schedule metadata and
 // timing of one compiled function.
 type compileResponse struct {
-	Function        string                `json:"function"`
-	Time            float64               `json:"time_cycles"`
-	TimeWithCopies  float64               `json:"time_with_copies_cycles"`
-	OpsBefore       int                   `json:"ops_before"`
-	OpsAfter        int                   `json:"ops_after"`
-	Regions         int                   `json:"regions"`
-	ScheduleLengths []int                 `json:"schedule_lengths"`
-	Speculated      int                   `json:"speculated"`
-	Renamed         int                   `json:"renamed"`
-	Copies          int                   `json:"copies"`
-	Merged          int                   `json:"merged"`
-	BranchCycles    int                   `json:"branch_cycles"`
-	Cached          bool                  `json:"cached"`
+	Function        string  `json:"function"`
+	Time            float64 `json:"time_cycles"`
+	TimeWithCopies  float64 `json:"time_with_copies_cycles"`
+	OpsBefore       int     `json:"ops_before"`
+	OpsAfter        int     `json:"ops_after"`
+	Regions         int     `json:"regions"`
+	ScheduleLengths []int   `json:"schedule_lengths"`
+	Speculated      int     `json:"speculated"`
+	Renamed         int     `json:"renamed"`
+	Copies          int     `json:"copies"`
+	Merged          int     `json:"merged"`
+	BranchCycles    int     `json:"branch_cycles"`
+	Cached          bool    `json:"cached"`
 	// Functions is the function count of a multi-function compile (omitted
 	// for the single-function requests the endpoint has always served).
 	Functions int `json:"functions,omitempty"`
 	// Inline statistics, present when the request enabled inlining and the
 	// compile consulted the inliner.
-	Inlined        int     `json:"inlined,omitempty"`
-	InlinedOps     int     `json:"inlined_ops,omitempty"`
-	InlineDeclined int     `json:"inline_declined,omitempty"`
-	ElapsedMS      float64 `json:"elapsed_ms"`
-	Schedules       []string              `json:"schedules,omitempty"`
-	Trace           map[string]tracePhase `json:"trace,omitempty"`
+	Inlined        int                   `json:"inlined,omitempty"`
+	InlinedOps     int                   `json:"inlined_ops,omitempty"`
+	InlineDeclined int                   `json:"inline_declined,omitempty"`
+	ElapsedMS      float64               `json:"elapsed_ms"`
+	Schedules      []string              `json:"schedules,omitempty"`
+	Trace          map[string]tracePhase `json:"trace,omitempty"`
 	// Verified is true when the request asked for verification and every
 	// rule passed; Diagnostics carries any advisory (sub-Error) findings.
 	Verified    bool     `json:"verified,omitempty"`
@@ -224,45 +241,46 @@ type compileResponse struct {
 // drift apart.
 type errorResponse = api.Error
 
-func (s *server) configFrom(req *compileRequest) (treegion.Config, error) {
-	var zero treegion.Config
-	if req.Region == "" {
-		req.Region = "tree"
-	}
-	if req.Heuristic == "" {
-		req.Heuristic = "globalweight"
-	}
-	if req.Machine == "" {
-		req.Machine = "4U"
-	}
-	if req.ExpansionLimit == 0 {
-		req.ExpansionLimit = 2.0
-	}
-	kind, err := treegion.ParseRegionKind(req.Region)
+// config builds the compile Config from the request's names.
+func (c *compileConfig) config() (treegion.Config, *apiError) {
+	cfg, err := treegion.ConfigByName(c.Region, c.Heuristic, c.Machine, c.ExpansionLimit)
 	if err != nil {
-		return zero, err
+		return cfg, apiErr(http.StatusBadRequest, "bad_config", err)
 	}
-	h, err := treegion.ParseHeuristic(req.Heuristic)
-	if err != nil {
-		return zero, err
+	if c.Rename != nil {
+		cfg.Rename = *c.Rename
 	}
-	m, ok := treegion.MachineByName(req.Machine)
-	if !ok {
-		return zero, fmt.Errorf("unknown machine %q (want 1U, 4U, 8U or 16U)", req.Machine)
+	cfg.DominatorParallelism = cfg.DominatorParallelism || c.DomPar
+	cfg.IfConvert = c.IfConvert
+	return cfg, nil
+}
+
+// The request path's input steps; tests swap them to count calls (one
+// load, and so one parse, per source; one profile per function).
+var (
+	loadIR      = treegion.LoadIR
+	profileFunc = treegion.ProfileFunction
+)
+
+// load parses src once and profiles each of its functions once (function
+// i with seed+i), mapping failures onto bad_ir and profile_failed. With
+// resolve set, even a single function must resolve as a program.
+func (c *compileConfig) load(src string, resolve bool) (*treegion.Program, treegion.Profiles, *apiError) {
+	seed, trips := c.Seed, c.Trips
+	if seed == 0 {
+		seed = 1
 	}
-	rename := true
-	if req.Rename != nil {
-		rename = *req.Rename
+	if trips <= 0 {
+		trips = 100
 	}
-	return treegion.Config{
-		Kind:                 kind,
-		Heuristic:            h,
-		Machine:              m,
-		Rename:               rename,
-		DominatorParallelism: req.DomPar || kind == treegion.TreegionTD,
-		TD:                   treegion.TDConfig{ExpansionLimit: req.ExpansionLimit, PathLimit: 20, MergeLimit: 4},
-		IfConvert:            req.IfConvert,
-	}, nil
+	prog, profs, err := loadIR(src, seed, trips, resolve, profileFunc)
+	switch {
+	case errors.As(err, new(*treegion.ProfileError)):
+		return nil, nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", err)
+	case err != nil:
+		return nil, nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
+	}
+	return prog, profs, nil
 }
 
 // unknownField extracts the field name from the json package's
@@ -302,61 +320,75 @@ func apiErr(status int, code string, err error) *apiError {
 	return &apiError{status: status, code: code, msg: err.Error()}
 }
 
-// decodeCompileRequest parses one compile-request body (the POST
-// /v1/compile body and the POST /v1/jobs payload share this format).
-func decodeCompileRequest(data []byte) (*compileRequest, *apiError) {
-	var req compileRequest
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if f, ok := unknownField(err); ok {
-			return nil, apiErr(http.StatusBadRequest, "unknown_field",
-				fmt.Errorf("unknown config field %q (valid fields: %s)", f, strings.Join(compileRequestFields, ", ")))
-		}
-		return nil, apiErr(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
-	}
-	if req.IR == "" {
-		return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing \"ir\" field"))
-	}
-	return &req, nil
+// request is a decodable body: compileRequest or batchRequest.
+type request interface {
+	check() *apiError
 }
 
-// parseAndProfile turns one request's IR into a parsed function and its
-// stochastic profile (the compile pipeline's two inputs).
-func (s *server) parseAndProfile(req *compileRequest) (*treegion.Function, *treegion.ProfileData, *apiError) {
-	fn, err := treegion.ParseFunction(req.IR)
-	if err != nil {
-		return nil, nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
+// decodeRequest is the one request decoder: a strict JSON decode into req
+// (an unknown field is a 400 naming it and listing the valid ones), then
+// req's own field checks.
+func decodeRequest(data []byte, req request) *apiError {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		if f, ok := unknownField(err); ok {
+			return apiErr(http.StatusBadRequest, "unknown_field",
+				fmt.Errorf("unknown config field %q (valid fields: %s)", f,
+					strings.Join(jsonFields(reflect.TypeOf(req).Elem()), ", ")))
+		}
+		return apiErr(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
 	}
-	seed, trips := req.Seed, req.Trips
-	if seed == 0 {
-		seed = 1
+	return req.check()
+}
+
+// jsonFields lists the JSON names of struct type t's fields, with embedded
+// structs' fields in place.
+func jsonFields(t reflect.Type) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			out = append(out, jsonFields(f.Type)...)
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		out = append(out, name)
 	}
-	if trips <= 0 {
-		trips = 100
+	return out
+}
+
+func (req *compileRequest) check() *apiError {
+	if req.IR == "" {
+		return apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing \"ir\" field"))
 	}
-	prof, err := treegion.ProfileFunction(fn, seed, trips)
-	if err != nil {
-		return nil, nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile: %w", err))
+	return req.checkTrips()
+}
+
+// decodeCompileRequest decodes one /v1/compile body or /v1/jobs payload.
+func decodeCompileRequest(data []byte) (*compileRequest, *apiError) {
+	var req compileRequest
+	if aerr := decodeRequest(data, &req); aerr != nil {
+		return nil, aerr
 	}
-	return fn, prof, nil
+	return &req, nil
 }
 
 // compileOptions assembles the pipeline options every compile on this
 // daemon shares: the worker pool bound, the tiered cache/store, metrics and
 // telemetry — plus verification and inline-on-absorb when the request asks
 // for them.
-func (s *server) compileOptions(verify, inlineOn bool) []treegion.CompileOption {
+func (s *server) compileOptions(c *compileConfig) []treegion.CompileOption {
 	copts := []treegion.CompileOption{
 		treegion.WithWorkers(s.workers),
 		treegion.WithCache(s.cache),
 		treegion.WithMetrics(s.metrics),
 		treegion.WithTelemetry(s.reg),
 	}
-	if verify {
+	if c.Verify {
 		copts = append(copts, treegion.WithVerify())
 	}
-	if inlineOn {
+	if c.Inline {
 		copts = append(copts, treegion.WithInline(treegion.DefaultInlineConfig()))
 	}
 	return copts
@@ -377,111 +409,65 @@ func compileError(err error) *apiError {
 }
 
 // compile is the request core shared by the synchronous handler and the
-// async job runner: parse, profile, compile through the tiered cache,
-// shape the response. ElapsedMS is left for the caller. A single-function
-// request without inlining takes exactly the historical path (same cache
-// keys, same response bytes); a multi-function "ir" or "inline": true
-// compiles the resolved program as one unit.
+// async job runner: build the config, parse and profile once, compile
+// through the tiered cache, shape the response. ElapsedMS is left for the
+// caller. One function without inlining compiles alone (CompileOne); a
+// multi-function "ir" or "inline": true compiles the functions as one
+// program.
 func (s *server) compile(ctx context.Context, req *compileRequest) (*compileResponse, *apiError) {
-	cfg, err := s.configFrom(req)
-	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, "bad_config", err)
-	}
-	// Inline requests and multi-function sources (the single-function parser
-	// rejects a second `func` declaration) go through the program path.
-	if req.Inline {
-		return s.compileProgram(ctx, req, cfg)
-	}
-	fn, prof, aerr := s.parseAndProfile(req)
+	cfg, aerr := req.config()
 	if aerr != nil {
-		if _, perr := treegion.ParseIRProgram(req.IR); perr == nil {
-			return s.compileProgram(ctx, req, cfg)
-		}
 		return nil, aerr
 	}
-	fr, cached, err := treegion.CompileOne(ctx, fn, prof, cfg, s.compileOptions(req.Verify, false)...)
-	if err != nil {
-		return nil, compileError(err)
+	prog, profs, aerr := req.load(req.IR, req.Inline)
+	if aerr != nil {
+		return nil, aerr
 	}
-	return s.shapeResponse(req, fr, cached), nil
-}
-
-// compileProgram serves the interprocedural request shape: the "ir" field
-// holds a whole program, whose call graph must resolve; with "inline" set,
-// eligible callees splice into the growing treegions.
-func (s *server) compileProgram(ctx context.Context, req *compileRequest, cfg treegion.Config) (*compileResponse, *apiError) {
-	irprog, err := treegion.ParseIRProgram(req.IR)
-	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
-	}
-	seed, trips := req.Seed, req.Trips
-	if seed == 0 {
-		seed = 1
-	}
-	if trips <= 0 {
-		trips = 100
-	}
-	prog := &treegion.Program{Name: irprog.Funcs[0].Name, Funcs: irprog.Funcs}
-	var profs treegion.Profiles
-	for i, fn := range irprog.Funcs {
-		prof, err := treegion.ProfileFunction(fn, seed+uint64(i), trips)
+	if len(prog.Funcs) == 1 && !req.Inline {
+		fr, cached, err := treegion.CompileOne(ctx, prog.Funcs[0], profs[0], cfg, s.compileOptions(&req.compileConfig)...)
 		if err != nil {
-			return nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile %s: %w", fn.Name, err))
+			return nil, compileError(err)
 		}
-		profs = append(profs, prof)
+		return shapeResponse(&req.compileConfig, req.Trace, fr, cached), nil
 	}
-	res, err := treegion.Compile(ctx, prog, profs, cfg, s.compileOptions(req.Verify, req.Inline)...)
+	res, err := treegion.Compile(ctx, prog, profs, cfg, s.compileOptions(&req.compileConfig)...)
 	if err != nil {
 		return nil, compileError(err)
 	}
-	return s.shapeProgramResponse(req, res), nil
+	// A program response folds the function responses: sums and
+	// concatenations in function order, with the program's own name and
+	// time (calls make the program time more than a plain sum).
+	resp := &compileResponse{}
+	for _, fr := range res.Funcs {
+		resp.add(shapeResponse(&req.compileConfig, false, fr, false))
+	}
+	resp.Function, resp.Functions, resp.Time = res.Name, len(res.Funcs), res.Time
+	return resp, nil
 }
 
-// shapeProgramResponse renders a whole-program compile: aggregate time,
-// code size, scheduling counters and the inline record, with the
-// per-function details (schedules, traces) concatenated in function order.
-func (s *server) shapeProgramResponse(req *compileRequest, res *treegion.ProgramResult) *compileResponse {
-	resp := &compileResponse{
-		Function:  res.Name,
-		Functions: len(res.Funcs),
-		Time:      res.Time,
-	}
-	for _, fr := range res.Funcs {
-		resp.TimeWithCopies += fr.Copies
-		resp.OpsBefore += fr.OpsBefore
-		resp.OpsAfter += fr.OpsAfter
-		resp.Regions += len(fr.Regions)
-		resp.Speculated += fr.NumSpeculated
-		resp.Renamed += fr.NumRenamed
-		resp.Copies += fr.NumCopies
-		resp.Merged += fr.NumMerged
-		resp.BranchCycles += fr.Sched.BranchCycles
-		for _, sc := range fr.Schedules {
-			resp.ScheduleLengths = append(resp.ScheduleLengths, sc.Length)
-			if req.Schedules {
-				resp.Schedules = append(resp.Schedules, sc.String())
-			}
-		}
-		if req.Verify {
-			for _, d := range fr.Diagnostics {
-				resp.Diagnostics = append(resp.Diagnostics, d.String())
-			}
-		}
-	}
-	if req.Verify {
-		resp.Verified = true
-	}
-	if req.Inline {
-		resp.Inlined = res.Inline.Inlined
-		resp.InlinedOps = res.Inline.InlinedOps
-		resp.InlineDeclined = res.Inline.Declined()
-	}
-	return resp
+// add folds one function's response into a program response.
+func (r *compileResponse) add(f *compileResponse) {
+	r.TimeWithCopies += f.TimeWithCopies
+	r.OpsBefore += f.OpsBefore
+	r.OpsAfter += f.OpsAfter
+	r.Regions += f.Regions
+	r.ScheduleLengths = append(r.ScheduleLengths, f.ScheduleLengths...)
+	r.Speculated += f.Speculated
+	r.Renamed += f.Renamed
+	r.Copies += f.Copies
+	r.Merged += f.Merged
+	r.BranchCycles += f.BranchCycles
+	r.Inlined += f.Inlined
+	r.InlinedOps += f.InlinedOps
+	r.InlineDeclined += f.InlineDeclined
+	r.Schedules = append(r.Schedules, f.Schedules...)
+	r.Verified = f.Verified
+	r.Diagnostics = append(r.Diagnostics, f.Diagnostics...)
 }
 
 // shapeResponse renders one compiled function as the API response body
 // (shared by /v1/compile, /v1/jobs and each /v1/compile-batch line).
-func (s *server) shapeResponse(req *compileRequest, fr *treegion.FunctionResult, cached bool) *compileResponse {
+func shapeResponse(c *compileConfig, trace bool, fr *treegion.FunctionResult, cached bool) *compileResponse {
 	resp := &compileResponse{
 		Function:       fr.Fn.Name,
 		Time:           fr.Time,
@@ -496,24 +482,24 @@ func (s *server) shapeResponse(req *compileRequest, fr *treegion.FunctionResult,
 		BranchCycles:   fr.Sched.BranchCycles,
 		Cached:         cached,
 	}
-	if req.Verify {
+	if c.Verify {
 		resp.Verified = true
 		for _, d := range fr.Diagnostics {
 			resp.Diagnostics = append(resp.Diagnostics, d.String())
 		}
 	}
-	if req.Inline {
+	if c.Inline {
 		resp.Inlined = fr.Inline.Inlined
 		resp.InlinedOps = fr.Inline.InlinedOps
 		resp.InlineDeclined = fr.Inline.Declined()
 	}
 	for _, sc := range fr.Schedules {
 		resp.ScheduleLengths = append(resp.ScheduleLengths, sc.Length)
-		if req.Schedules {
+		if c.Schedules {
 			resp.Schedules = append(resp.Schedules, sc.String())
 		}
 	}
-	if req.Trace {
+	if trace {
 		snap := fr.Trace.Snapshot()
 		resp.Trace = make(map[string]tracePhase)
 		for p := treegion.Phase(0); int(p) < len(snap.Phase); p++ {

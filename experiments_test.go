@@ -210,7 +210,7 @@ func TestStress2PresetSmoke(t *testing.T) {
 
 // TestStressPresetSmoke proves the out-of-suite stress preset (the corpus
 // behind BenchmarkCompileStress and treegion-loadgen) generates, profiles
-// and compiles cleanly, and that the work-stealing pool at 8 workers is
+// and compiles cleanly, and that the worker pool at 8 workers is
 // cycle-identical to a serial compile on it. A slice of the preset keeps
 // the smoke test affordable; the full 24×7000-op program runs under make
 // bench.

@@ -23,48 +23,65 @@ func Parse(src string) (*ir.Function, error) {
 	return fn, nil
 }
 
-// ParseProgram reads a multi-function file: each `func` line starts a new
-// function. Functions are parsed and validated individually, then resolved
-// into an ir.Program, which rejects duplicate names, calls to undefined
-// functions, and arity-mismatched call sites.
-func ParseProgram(src string) (*ir.Program, error) {
-	var chunks []string
-	var starts []int // 1-based line offsets, for error messages
-	cur := strings.Builder{}
-	lineNo, curStart := 0, 1
-	curHasFunc := false
+// ParseFunctions reads a source holding one or more functions: each `func`
+// line starts a new function, and leading comments and blank lines attach
+// to the first. Each function is parsed and validated once, from a
+// substring of src; a single-function source goes to Parse as is. The call
+// graph is not resolved (ParseProgram does that).
+func ParseFunctions(src string) ([]*ir.Function, error) {
+	starts := []int{0}     // byte offset of each function's text
+	startLines := []int{1} // and its 1-based line, for error messages
+	off, lineNo := 0, 0
+	seenFunc := false
 	for rest := src; len(rest) > 0 || lineNo == 0; {
 		var raw string
 		raw, rest = nextLine(rest)
 		lineNo++
 		if strings.HasPrefix(clean(raw), "func ") {
-			// Start a new chunk only once the current one holds a function;
-			// leading comments and blank lines attach to the first function.
-			if curHasFunc {
-				chunks = append(chunks, cur.String())
-				starts = append(starts, curStart)
-				cur.Reset()
-				curStart = lineNo
+			if seenFunc {
+				starts = append(starts, off)
+				startLines = append(startLines, lineNo)
 			}
-			curHasFunc = true
+			seenFunc = true
 		}
-		cur.WriteString(raw)
-		cur.WriteByte('\n')
+		off += len(raw) + 1
 	}
-	chunks = append(chunks, cur.String())
-	starts = append(starts, curStart)
-
-	funcs := make([]*ir.Function, 0, len(chunks))
-	for i, chunk := range chunks {
-		fn, err := Parse(chunk)
+	if len(starts) == 1 {
+		fn, err := Parse(src)
 		if err != nil {
-			if len(chunks) > 1 {
-				return nil, fmt.Errorf("irtext: function starting at line %d: %w", starts[i], err)
-			}
 			return nil, err
 		}
-		funcs = append(funcs, fn)
+		return []*ir.Function{fn}, nil
 	}
+	funcs := make([]*ir.Function, len(starts))
+	for i, lo := range starts {
+		hi := len(src)
+		if i+1 < len(starts) {
+			hi = starts[i+1]
+		}
+		fn, err := Parse(src[lo:hi])
+		if err != nil {
+			return nil, fmt.Errorf("irtext: function starting at line %d: %w", startLines[i], err)
+		}
+		funcs[i] = fn
+	}
+	return funcs, nil
+}
+
+// ParseProgram reads a multi-function file (ParseFunctions) and resolves
+// it (Resolve).
+func ParseProgram(src string) (*ir.Program, error) {
+	funcs, err := ParseFunctions(src)
+	if err != nil {
+		return nil, err
+	}
+	return Resolve(funcs)
+}
+
+// Resolve builds the ir.Program of parsed functions, which rejects
+// duplicate names, calls to undefined functions, and arity-mismatched call
+// sites.
+func Resolve(funcs []*ir.Function) (*ir.Program, error) {
 	prog, err := ir.NewProgram(funcs)
 	if err != nil {
 		return nil, fmt.Errorf("irtext: %w", err)

@@ -99,36 +99,31 @@ type Metrics struct {
 // inject panics and failures.
 var compileFunc = eval.CompileFunctionArena
 
-// compileMany drives fns through the batched work-stealing pool: each
-// worker claims chunks of K indices from the shared queue (stealing half of
-// the largest remaining range when its own runs dry) and compiles the whole
-// chunk on one private arena, so the DDG/scheduler scratch is reused across
-// every function the worker touches. Results and errors land at their
-// function's index; cached[i], when the slice is non-nil, records cache
-// hits. onDone, when non-nil, is called (possibly concurrently) after each
-// index settles.
+// compileMany drives fns through the worker loop: each worker claims the
+// next uncompiled index from one shared counter and compiles it on its
+// private arena, so the DDG/scheduler scratch is reused across every
+// function the worker touches. The caller's goroutine is worker 0, so one
+// worker starts no goroutine. Results and errors land at their function's
+// index; cached[i], when the slice is non-nil, records cache hits. onDone,
+// when non-nil, is called (possibly concurrently) after each index
+// settles.
 func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data, c eval.Config, opts Options,
 	frs []*eval.FunctionResult, errs []error, cached []bool, onDone func(int)) {
 	n := len(fns)
 	if n == 0 {
 		return
 	}
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		// Serial fast path: compile on the caller's goroutine with one
-		// arena and no steal-queue locking. A one-worker pool otherwise
-		// pays the goroutine hop and per-chunk mutex for nothing, which
-		// showed up as a single-worker pipeline running measurably slower
-		// than a plain serial loop.
+	var next atomic.Int64
+	work := func() {
 		arena := workerArena()
-		for i := range fns {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			if err := ctx.Err(); err != nil {
+				// Settle the index as cancelled so callers report
+				// cancellation rather than a nil result.
 				errs[i] = err
 			} else {
 				var hit bool
@@ -141,48 +136,21 @@ func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 				onDone(i)
 			}
 		}
-		return
 	}
-	q := newStealQueue(n, workers)
-	k := chunkSize(n, workers)
-	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(opts.workers(), n); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			arena := workerArena()
-			for {
-				mu.Lock()
-				chunk, ok := q.take(w, k)
-				mu.Unlock()
-				if !ok {
-					return
-				}
-				for i := chunk.lo; i < chunk.hi; i++ {
-					if err := ctx.Err(); err != nil {
-						// Settle the claimed tail as cancelled so callers
-						// report cancellation rather than a nil result.
-						errs[i] = err
-					} else {
-						var hit bool
-						frs[i], hit, errs[i] = compileOne(fns[i], profs[i], c, opts, arena)
-						if cached != nil {
-							cached[i] = hit
-						}
-					}
-					if onDone != nil {
-						onDone(i)
-					}
-				}
-			}
-		}(w)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
 }
 
 // CompileProgram compiles every function of prog under c across the
-// batched work-stealing worker pool and aggregates the results exactly as
+// pipeline's workers and aggregates the results exactly as
 // eval.CompileProgram does. Function results are assembled in function
 // order regardless of completion order, so the returned ProgramResult is
 // deterministic in the inputs. On error it returns the failing function
@@ -207,7 +175,7 @@ func CompileProgram(ctx context.Context, prog *progen.Program, profs eval.Profil
 	return eval.Aggregate(prog.Name, c, frs), nil
 }
 
-// CompileEach compiles fns[i] against profs[i] on the work-stealing pool
+// CompileEach compiles fns[i] against profs[i] on the pipeline's workers
 // and calls emit exactly once per index, in index order, as results become
 // available — the streaming core of the daemon's /v1/compile-batch. A
 // per-function failure is delivered to emit as err (the run continues); an
@@ -232,42 +200,31 @@ func CompileEach(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 	frs := make([]*eval.FunctionResult, n)
 	errs := make([]error, n)
 	cached := make([]bool, n)
-	done := make([]bool, n)
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	go func() {
-		// Wake the emit loop when the context dies with results pending.
-		<-ctx.Done()
-		cond.Broadcast()
-	}()
+	// Workers post each settled index; the buffer holds all n, so a worker
+	// never blocks on a reader that has stopped.
+	settled := make(chan int, n)
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		compileMany(ctx, fns, profs, c, opts, frs, errs, cached, func(i int) {
-			mu.Lock()
-			done[i] = true
-			cond.Broadcast()
-			mu.Unlock()
-		})
+		compileMany(ctx, fns, profs, c, opts, frs, errs, cached, func(i int) { settled <- i })
 	}()
 
+	ready := make([]bool, n)
 	var emitErr error
-	for i := 0; i < n && emitErr == nil; i++ {
-		mu.Lock()
-		for !done[i] && ctx.Err() == nil {
-			cond.Wait()
+	for i := 0; i < n && emitErr == nil; {
+		if ready[i] {
+			emitErr = emit(i, frs[i], cached[i], errs[i])
+			i++
+			continue
 		}
-		ready := done[i]
-		mu.Unlock()
-		if !ready {
+		select {
+		case j := <-settled:
+			ready[j] = true
+		case <-ctx.Done():
 			emitErr = ctx.Err()
-			break
 		}
-		emitErr = emit(i, frs[i], cached[i], errs[i])
 	}
-	if emitErr != nil {
-		cancel() // stop compiling what nobody will read
-	}
+	cancel() // stop compiling what nobody will read
 	<-finished
 	return emitErr
 }

@@ -176,9 +176,56 @@ func ProfileFunction(fn *Function, seed uint64, trips int) (*ProfileData, error)
 	return interp.Profile(fn, seed, trips, interp.Config{MaxSteps: 2_000_000})
 }
 
+// ProfileError is LoadIR's error for a function whose profile failed (the
+// interpreter's step bound, an op-less cycle). Parse and resolve errors
+// come back as they are.
+type ProfileError struct {
+	Fn  string
+	Err error
+}
+
+func (e *ProfileError) Error() string { return fmt.Sprintf("profile %s: %v", e.Fn, e.Err) }
+
+func (e *ProfileError) Unwrap() error { return e.Err }
+
+// LoadIR is the one path from textual IR to compile inputs. It splits src
+// at its func lines and parses each function once; when resolve is set or
+// src holds more than one function, it checks that the functions form a
+// program (ResolveProgram) before any profiling; then it profiles function
+// i once, with seed seed+i, through profile (ProfileFunction, or a
+// wrapper of it). The returned program is named after its first function.
+func LoadIR(src string, seed uint64, trips int, resolve bool,
+	profile func(fn *Function, seed uint64, trips int) (*ProfileData, error)) (*Program, Profiles, error) {
+	fns, err := irtext.ParseFunctions(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resolve || len(fns) > 1 {
+		if _, err := irtext.Resolve(fns); err != nil {
+			return nil, nil, err
+		}
+	}
+	profs := make(Profiles, len(fns))
+	for i, fn := range fns {
+		if profs[i], err = profile(fn, seed+uint64(i), trips); err != nil {
+			return nil, nil, &ProfileError{Fn: fn.Name, Err: err}
+		}
+	}
+	return &Program{Name: fns[0].Name, Funcs: fns}, profs, nil
+}
+
 // CompileOption customizes Compile and CompileOne. The zero set of options
 // compiles with GOMAXPROCS workers, no cache, no metrics, no telemetry.
 type CompileOption func(*pipeline.Options)
+
+// options folds a CompileOption list into the pipeline's Options.
+func options(opts []CompileOption) pipeline.Options {
+	var o pipeline.Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
 
 // WithWorkers bounds concurrent function compiles (<= 0 means GOMAXPROCS).
 func WithWorkers(n int) CompileOption {
@@ -247,37 +294,25 @@ func ExportSchedulerTelemetry(reg *Telemetry) { telemetry.ExportReadyOccupancy(r
 // reassembled in function order, so the output is byte-identical to a
 // serial compile regardless of worker count.
 func Compile(ctx context.Context, prog *Program, profs Profiles, c Config, opts ...CompileOption) (*ProgramResult, error) {
-	var o pipeline.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return pipeline.CompileProgram(ctx, prog, profs, c, o)
+	return pipeline.CompileProgram(ctx, prog, profs, c, options(opts))
 }
 
 // CompileOne compiles a single function through the pipeline's cache and
 // panic isolation. Unlike CompileFunction it does not mutate fn or prof (it
 // compiles clones); it reports whether the result was served from the cache.
 func CompileOne(ctx context.Context, fn *Function, prof *ProfileData, c Config, opts ...CompileOption) (*FunctionResult, bool, error) {
-	var o pipeline.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return pipeline.CompileFunction(ctx, fn, prof, c, o)
+	return pipeline.CompileFunction(ctx, fn, prof, c, options(opts))
 }
 
 // CompileEach compiles fns[i] against profs[i] (on clones — the originals
-// are never mutated) across the batched work-stealing pool and calls emit
+// are never mutated) across the pipeline's workers and calls emit
 // exactly once per index, in index order, as results become available. A
 // per-function failure is delivered to emit as err and the run continues;
 // an error returned by emit cancels the remaining work and is returned.
 // This is the streaming core behind the daemon's /v1/compile-batch.
 func CompileEach(ctx context.Context, fns []*Function, profs []*ProfileData, c Config,
 	emit func(i int, fr *FunctionResult, cached bool, err error) error, opts ...CompileOption) error {
-	var o pipeline.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return pipeline.CompileEach(ctx, fns, profs, c, o, emit)
+	return pipeline.CompileEach(ctx, fns, profs, c, options(opts), emit)
 }
 
 // NewCompileCache builds a content-addressed compilation result cache with
@@ -301,6 +336,48 @@ func CompileFunction(fn *Function, prof *ProfileData, c Config) (*FunctionResult
 	return eval.CompileFunction(fn, prof, c)
 }
 
+// ConfigByName builds a Config from the names the command-line tools and
+// the daemon accept: region former (bb, slr, tree, sb, tree-td), heuristic
+// (depheight, exitcount, globalweight, weightedcount) and machine (1U, 4U,
+// 8U, 16U), with limit bounding tree-td's code expansion. An empty name or
+// a zero limit selects the headline default (tree, globalweight, 4U, 2.0).
+// The rest are the paper's defaults: renaming on, dominator parallelism
+// iff tree-td, tail duplication over at most 20 paths with 4 merges.
+func ConfigByName(region, heuristic, machineName string, limit float64) (Config, error) {
+	if region == "" {
+		region = "tree"
+	}
+	if heuristic == "" {
+		heuristic = "globalweight"
+	}
+	if machineName == "" {
+		machineName = "4U"
+	}
+	if limit == 0 {
+		limit = 2.0
+	}
+	kind, err := eval.ParseRegionKind(region)
+	if err != nil {
+		return Config{}, err
+	}
+	h, err := core.ParseHeuristic(heuristic)
+	if err != nil {
+		return Config{}, err
+	}
+	m, ok := machine.ByName(machineName)
+	if !ok {
+		return Config{}, fmt.Errorf("unknown machine %q (want 1U, 4U, 8U or 16U)", machineName)
+	}
+	return Config{
+		Kind:                 kind,
+		Heuristic:            h,
+		Machine:              m,
+		Rename:               true,
+		DominatorParallelism: kind == TreegionTD,
+		TD:                   TDConfig{ExpansionLimit: limit, PathLimit: 20, MergeLimit: 4},
+	}, nil
+}
+
 // DefaultConfig is the paper's headline configuration: treegion scheduling,
 // global weight heuristic, 4-issue machine, renaming on.
 func DefaultConfig() Config { return eval.DefaultConfig() }
@@ -321,6 +398,7 @@ func PrintFunction(fn *Function) string { return irtext.Print(fn) }
 
 // ParseIRProgram reads a multi-function .tir source and resolves its call
 // graph (callees must be defined, call arities must match signatures).
+// LoadIR does the same parse and also profiles the functions.
 func ParseIRProgram(src string) (*IRProgram, error) { return irtext.ParseProgram(src) }
 
 // ResolveProgram resolves already-built functions into a multi-function
